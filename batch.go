@@ -179,11 +179,12 @@ func (s *Solver) planShards(shards []qubo.Shard, st *SolveStats) []shardPlan {
 	return plans
 }
 
-// sampleShards samples every non-trivial shard concurrently; each
-// sampling call individually acquires a batch-gate slot (when one is
-// installed), so shard fan-out from many batched constraints still
-// respects the global worker bound. The returned error names the
-// failing shard.
+// sampleShards solves every shard of one attempt. Closed-form and
+// exact shards are solved inline (microseconds each); sampled or raced
+// shards run concurrently, one goroutine each. Every sampling call
+// individually acquires a batch-gate slot (when one is installed), so
+// shard fan-out from many batched constraints still respects the global
+// worker bound. The returned error names the failing shard.
 func (s *Solver) sampleShards(ctx context.Context, plans []shardPlan, attempt int, st *SolveStats) ([]*anneal.SampleSet, error) {
 	sets := make([]*anneal.SampleSet, len(plans))
 	errs := make([]error, len(plans))
@@ -195,8 +196,7 @@ func (s *Solver) sampleShards(ctx context.Context, plans []shardPlan, attempt in
 	var wg sync.WaitGroup
 	for i := range plans {
 		p := &plans[i]
-		if p.trivial {
-			sets[i] = solveLinearShard(p.shard.Model, s.opts.Seed, attempt, i)
+		if p.trivial || p.exact {
 			continue
 		}
 		wg.Add(1)
@@ -204,7 +204,7 @@ func (s *Solver) sampleShards(ctx context.Context, plans []shardPlan, attempt in
 			defer wg.Done()
 			// Stat counters are updated after wg.Wait() (below) to keep
 			// the goroutines write-free on st.
-			if racing && !p.exact {
+			if racing {
 				o, err := s.racePortfolio(ctx, p.compiled, p.seeds, attempt, i)
 				if err != nil {
 					errs[i] = err
@@ -214,15 +214,19 @@ func (s *Solver) sampleShards(ctx context.Context, plans []shardPlan, attempt in
 				sets[i] = o.Set
 				return
 			}
-			var sampler Sampler
-			if p.exact {
-				sampler = &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt}
-			} else {
-				sampler = s.samplerFor(attempt)
-				sampler, _ = warmSampler(sampler, p.seeds)
-			}
+			sampler, _ := warmSampler(s.samplerFor(attempt), p.seeds)
 			sets[i], errs[i] = s.sample(ctx, sampler, p.compiled)
 		}(i, p)
+	}
+	for i := range plans {
+		switch p := &plans[i]; {
+		case p.trivial:
+			sets[i] = solveLinearShard(p.shard.Model, s.opts.Seed, attempt, i)
+		case p.exact:
+			// One enumeration worker: a shard of ≤ ExactShardVars
+			// variables enumerates faster than goroutines start.
+			sets[i], errs[i] = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt, Workers: 1}, p.compiled)
+		}
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -284,24 +288,197 @@ func aggregateShardSets(model *qubo.Model, sets []*anneal.SampleSet, st *SolveSt
 	return maxLen
 }
 
-// mergeShardCandidate scatters the k-th best sample of every shard
-// (clamped to each shard's sample count) into one reduced-space
-// assignment and its exact total energy; merged candidate 0 is the
-// global best the attempt found.
-func mergeShardCandidate(model *qubo.Model, plans []shardPlan, sets []*anneal.SampleSet, k int) ([]qubo.Bit, float64) {
-	x := make([]qubo.Bit, model.N())
-	energy := model.Offset()
-	for i := range plans {
-		ss := sets[i]
+// shardCandidates generates the merged candidates of one sharded
+// attempt, lazily and in order:
+//
+//  1. The k-th-best merges: the k-th best sample of every shard (clamped
+//     to each shard's sample count) scattered into one assignment, for k
+//     below the longest shard set. Candidate 0 is the attempt's global
+//     best.
+//  2. Draws from the cross product of the shards' ground manifolds, up
+//     to limit candidates in all. A draw picks one of each sampled or
+//     exact shard's best-energy rows at random and refills the free
+//     (zero-coefficient) variables of every coupler-free shard: all
+//     zeros on the first draw, all ones on the second, seeded bits after.
+//     A draw that repeats an earlier candidate is skipped.
+//
+// Every candidate's energy is its exact total energy (the shards are
+// independent and the model offset is counted once). The draw state is
+// built only when the k-th-best merges run out, so an attempt whose
+// first candidate verifies allocates nothing but that candidate.
+type shardCandidates struct {
+	model *qubo.Model
+	plans []shardPlan
+	sets  []*anneal.SampleSet
+	rows  int // k-th-best merges, emitted first
+	limit int // candidates in all
+
+	emitted int
+	buf     []qubo.Bit // the current candidate
+	// Draw state, built on the first draw.
+	drawing bool
+	draws   int
+	state   uint64
+	ground  []int    // per shard: its best-energy row count
+	free    [][]int  // per coupler-free shard: global indices of its free variables
+	seen    []uint64 // hashes of the emitted candidates
+}
+
+// newShardCandidates prepares the candidate stream of one attempt;
+// maxLen is aggregateShardSets' deepest candidate rank (≥ 1).
+func newShardCandidates(model *qubo.Model, plans []shardPlan, sets []*anneal.SampleSet, maxLen, limit int, seed int64, attempt int) shardCandidates {
+	rows := maxLen
+	if rows > limit {
+		rows = limit
+	}
+	return shardCandidates{
+		model: model, plans: plans, sets: sets, rows: rows, limit: limit,
+		state: uint64(seed)*0xd1b54a32d192ed03 ^ uint64(attempt)*0x9e3779b97f4a7c15,
+	}
+}
+
+// next returns the next candidate, or ok=false when the stream is done.
+// Every candidate is written to one buffer, so x is valid only until
+// the next call.
+func (g *shardCandidates) next() (x []qubo.Bit, energy float64, ok bool) {
+	if g.emitted >= g.limit {
+		return nil, 0, false
+	}
+	if g.buf == nil {
+		g.buf = make([]qubo.Bit, g.model.N())
+	}
+	if g.emitted < g.rows {
+		energy = g.merge(g.buf, g.emitted)
+	} else if energy, ok = g.draw(); !ok {
+		return nil, 0, false
+	}
+	g.emitted++
+	return g.buf, energy, true
+}
+
+// merge scatters the k-th best sample of every shard into x and returns
+// the merged energy.
+func (g *shardCandidates) merge(x []qubo.Bit, k int) float64 {
+	energy := g.model.Offset()
+	for i := range g.plans {
+		ss := g.sets[i]
 		idx := k
 		if idx >= ss.Len() {
 			idx = ss.Len() - 1
 		}
 		smp := ss.Samples[idx]
-		plans[i].shard.Scatter(x, smp.X)
+		g.plans[i].shard.Scatter(x, smp.X)
 		energy += smp.Energy
 	}
-	return x, energy
+	return energy
+}
+
+// maxDrawsPerCandidate bounds the draws spent per candidate slot, so a
+// cross product smaller than limit ends the stream instead of spinning
+// on repeats.
+const maxDrawsPerCandidate = 4
+
+// draw writes the next cross-product draw that differs from every
+// emitted candidate to the buffer and returns its energy.
+func (g *shardCandidates) draw() (float64, bool) {
+	if !g.drawing {
+		g.drawing = true
+		if !g.startDrawing() {
+			g.limit = g.emitted
+			return 0, false
+		}
+	}
+	for g.draws < maxDrawsPerCandidate*g.limit {
+		d := g.draws
+		g.draws++
+		x := g.buf
+		energy := g.model.Offset()
+		for i := range g.plans {
+			r := 0
+			if n := g.ground[i]; n > 1 {
+				r = int(splitmix64(&g.state) % uint64(n))
+			}
+			smp := g.sets[i].Samples[r]
+			g.plans[i].shard.Scatter(x, smp.X)
+			energy += smp.Energy
+			for _, v := range g.free[i] {
+				switch d {
+				case 0:
+					x[v] = 0
+				case 1:
+					x[v] = 1
+				default:
+					x[v] = qubo.Bit(splitmix64(&g.state) & 1)
+				}
+			}
+		}
+		if h := bitsHash(x); !g.emittedBefore(h) {
+			g.seen = append(g.seen, h)
+			return energy, true
+		}
+	}
+	return 0, false
+}
+
+// startDrawing builds the draw state; it reports false when every shard
+// has exactly one best-energy row and no free variables, so every draw
+// would repeat candidate 0.
+func (g *shardCandidates) startDrawing() bool {
+	g.ground = make([]int, len(g.plans))
+	g.free = make([][]int, len(g.plans))
+	varied := false
+	for i := range g.plans {
+		p := &g.plans[i]
+		if p.trivial {
+			g.ground[i] = 1
+			m := p.shard.Model
+			for k := 0; k < m.N(); k++ {
+				if m.Linear(k) == 0 {
+					g.free[i] = append(g.free[i], p.shard.Vars[k])
+				}
+			}
+			varied = varied || len(g.free[i]) > 0
+			continue
+		}
+		samples := g.sets[i].Samples
+		tol := anneal.TieTolerance(samples[0].Energy)
+		n := 1
+		for n < len(samples) && samples[n].Energy-samples[0].Energy <= tol {
+			n++
+		}
+		g.ground[i] = n
+		varied = varied || n > 1
+	}
+	if !varied {
+		return false
+	}
+	g.seen = make([]uint64, g.rows, g.limit)
+	for k := range g.seen {
+		g.merge(g.buf, k)
+		g.seen[k] = bitsHash(g.buf)
+	}
+	return true
+}
+
+// emittedBefore reports whether a candidate with hash h was emitted.
+func (g *shardCandidates) emittedBefore(h uint64) bool {
+	for _, s := range g.seen {
+		if s == h {
+			return true
+		}
+	}
+	return false
+}
+
+// bitsHash is the FNV-1a hash of an assignment, the candidate stream's
+// repeat filter.
+func bitsHash(x []qubo.Bit) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range x {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // solveSharded attempts the component decomposition of model — the
@@ -345,16 +522,16 @@ func (s *Solver) solveSharded(ctx context.Context, c Constraint, model *qubo.Mod
 			continue
 		}
 
-		// Merge the k-th best sample of every shard into the k-th
-		// reduced-space candidate, then lift it through the presolve
-		// reduction to the full variable space.
-		limit := s.opts.CandidatesPerAttempt
-		if limit > maxLen {
-			limit = maxLen
-		}
+		// Merge the shards' samples into reduced-space candidates, then
+		// lift each through the presolve reduction to the full variable
+		// space.
+		cands := newShardCandidates(model, plans, sets, maxLen, s.opts.CandidatesPerAttempt, s.opts.Seed, attempt)
 		phase = time.Now()
-		for k := 0; k < limit; k++ {
-			x, energy := mergeShardCandidate(model, plans, sets, k)
+		for {
+			x, energy, more := cands.next()
+			if !more {
+				break
+			}
 			w, ok, fatal, checkErr := examineCandidate(c, liftBits(red, x), st)
 			if fatal != nil {
 				st.DecodeVerify += time.Since(phase)

@@ -215,6 +215,30 @@ func TestExactSolverTolReturnsDegenerateStates(t *testing.T) {
 	}
 }
 
+// TestExactSolverExactTieTolerance pins near-equal energies as ties: the
+// states {x0,x1} and {x2} both have energy −0.3, but 0.1+0.2 rounds to
+// 0.30000000000000004, so an exact comparison keeps only one of them.
+func TestExactSolverExactTieTolerance(t *testing.T) {
+	m := qubo.New(3)
+	m.AddLinear(0, -0.1)
+	m.AddLinear(1, -0.2)
+	m.AddLinear(2, -0.3)
+	m.AddQuadratic(0, 2, 10)
+	m.AddQuadratic(1, 2, 10)
+	ss, err := (&ExactSolver{MaxStates: 8}).Sample(m.Compile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.Len() != 2 {
+		t.Fatalf("ground states = %d (%v), want the two tied states", ss.Len(), ss.Samples)
+	}
+	for _, s := range ss.Samples {
+		if math.Abs(s.Energy+0.3) > 1e-12 {
+			t.Errorf("state %v energy %.17g, want -0.3", s.X, s.Energy)
+		}
+	}
+}
+
 func TestExactSolverRespectsMaxStates(t *testing.T) {
 	c := qubo.New(6).Compile() // 64 degenerate states
 	ss, err := (&ExactSolver{MaxStates: 5}).Sample(c)

@@ -20,7 +20,10 @@ const MaxExactVars = 28
 // ground-state hit rates exactly.
 type ExactSolver struct {
 	// Tol widens the returned set to every state within Tol of the
-	// minimum energy (0 returns only exact ground states).
+	// minimum energy (0 returns only ground states). States within
+	// TieTolerance of the minimum always count as ground states: the
+	// Gray walk sums FlipDelta steps, so true ties drift apart by
+	// rounding error.
 	Tol float64
 	// MaxStates caps how many (near-)ground states are returned
 	// (default 64; the minimum-energy state is always included).
@@ -83,10 +86,11 @@ func (ex *ExactSolver) SampleContext(ctx context.Context, c *qubo.Compiled) (*Sa
 			best = r.min
 		}
 	}
+	tol := ex.Tol + TieTolerance(best)
 	var raw []Sample
 	for _, r := range results {
 		for _, s := range r.states {
-			if s.Energy-best <= ex.Tol {
+			if s.Energy-best <= tol {
 				raw = append(raw, s)
 			}
 		}
@@ -113,11 +117,13 @@ func enumerateBlock(ctx context.Context, c *qubo.Compiled, block, split, low int
 	}
 	e := c.Energy(x)
 	res := blockResult{min: e}
+	cut := tol + TieTolerance(e)
 	record := func() {
 		if e < res.min {
 			res.min = e
+			cut = tol + TieTolerance(e)
 		}
-		if e-res.min <= tol {
+		if e-res.min <= cut {
 			cp := make([]Bit, len(x))
 			copy(cp, x)
 			res.states = append(res.states, Sample{X: cp, Energy: e, Occurrences: 1})
@@ -144,6 +150,7 @@ func enumerateBlock(ctx context.Context, c *qubo.Compiled, block, split, low int
 }
 
 func pruneStates(states []Sample, min, tol float64, maxStates int) []Sample {
+	tol += TieTolerance(min)
 	kept := states[:0]
 	for _, s := range states {
 		if s.Energy-min <= tol {
@@ -157,6 +164,14 @@ func pruneStates(states []Sample, min, tol float64, maxStates int) []Sample {
 		kept = agg.Samples[:2*maxStates]
 	}
 	return kept
+}
+
+// TieTolerance is the energy gap near e below which two states count as
+// tied: 1e-9 relative to e's magnitude (absolute below 1). Rounding
+// drift in summed energies is about 1e-13 on the penalty models; real
+// coefficient gaps are many orders larger.
+func TieTolerance(e float64) float64 {
+	return 1e-9 * math.Max(1, math.Abs(e))
 }
 
 func maxInt(a, b int) int {

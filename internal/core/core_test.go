@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"qsmt/internal/anneal"
@@ -551,6 +552,32 @@ func TestRegexUnsatisfiableLength(t *testing.T) {
 	c2 := &Regex{Pattern: "abc", Length: 2}
 	if _, err := c2.BuildModel(); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("err = %v, want ErrUnsatisfiable", err)
+	}
+}
+
+// Check caches the parsed pattern; concurrent Checks share it, and a
+// changed Pattern field is parsed afresh.
+func TestRegexCheckParsedPatternCache(t *testing.T) {
+	c := &Regex{Pattern: "a[bc]+", Length: 3}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := c.Check(Witness{Kind: WitnessString, Str: "abc"}); err != nil {
+					t.Errorf("abc: %v", err)
+				}
+				if err := c.Check(Witness{Kind: WitnessString, Str: "bbc"}); !errors.Is(err, ErrCheckFailed) {
+					t.Errorf("bbc: err = %v, want ErrCheckFailed", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Pattern = "b[bc]+"
+	if err := c.Check(Witness{Kind: WitnessString, Str: "bbc"}); err != nil {
+		t.Errorf("after the pattern changed, bbc: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"qsmt/internal/ascii7"
 	"qsmt/internal/qubo"
@@ -33,6 +34,24 @@ type Regex struct {
 	Pattern string
 	Length  int
 	A       float64
+
+	// parsed caches the parsed Pattern for Check, which runs once per
+	// decoded candidate. It is keyed by the pattern text, so a changed
+	// Pattern field is re-parsed; concurrent Checks share it race-free.
+	parsed atomic.Pointer[regexlite.Pattern]
+}
+
+// pattern returns the parsed Pattern, parsing it on first use.
+func (c *Regex) pattern() (*regexlite.Pattern, error) {
+	if p := c.parsed.Load(); p != nil && p.Source() == c.Pattern {
+		return p, nil
+	}
+	p, err := regexlite.Parse(c.Pattern)
+	if err != nil {
+		return nil, err
+	}
+	c.parsed.Store(p)
+	return p, nil
 }
 
 // Name implements Constraint.
@@ -43,7 +62,7 @@ func (c *Regex) NumVars() int { return ascii7.NumVars(c.Length) }
 
 // BuildModel implements Constraint.
 func (c *Regex) BuildModel() (*qubo.Model, error) {
-	pat, err := regexlite.Parse(c.Pattern)
+	pat, err := c.pattern()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", c.Name(), err)
 	}
@@ -79,7 +98,7 @@ func (c *Regex) Check(w Witness) error {
 	if len(w.Str) != c.Length {
 		return fmt.Errorf("%w: got length %d, want %d", ErrCheckFailed, len(w.Str), c.Length)
 	}
-	pat, err := regexlite.Parse(c.Pattern)
+	pat, err := c.pattern()
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", c.Name(), err)
 	}

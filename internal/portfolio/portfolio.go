@@ -107,8 +107,8 @@ type Arm struct {
 	// are recorded but never returned.
 	Advisory bool
 	// Delay staggers the arm's launch; if the race settles first the arm
-	// never does any work. Backup arms (tempering, scalar) use it so a
-	// healthy race costs ~0 extra CPU.
+	// is never started (its timer is stopped). Backup arms (tempering,
+	// scalar) use it so a healthy race costs ~0 extra CPU.
 	Delay time.Duration
 	// Run executes the arm under ctx. It must honor cancellation
 	// promptly (all module samplers check ctx between sweeps) and may
@@ -209,24 +209,41 @@ func Race(ctx context.Context, arms []Arm) (*Outcome, error) {
 	telemetry := make([]Telemetry, len(arms))
 	results := make(chan armResult, len(arms))
 	var wg sync.WaitGroup
+	run := func(i int) {
+		defer wg.Done()
+		a := &arms[i]
+		if err := rctx.Err(); err != nil && a.Delay > 0 {
+			// A delayed arm whose timer fired as the race settled.
+			results <- armResult{idx: i, err: err, elapsed: time.Since(start)}
+			return
+		}
+		set, err := a.Run(rctx, &telemetry[i])
+		if err == nil && set != nil && set.Len() > 0 && (a.Definitive || telemetry[i].Proven || !a.Advisory) {
+			// A settling result cancels the losers at once rather than
+			// when the collector below is next scheduled; the collector
+			// still picks the winner.
+			cancel()
+		}
+		results <- armResult{idx: i, set: set, err: err, elapsed: time.Since(start)}
+	}
+	// A delayed arm is started by a timer, so an arm the race settles
+	// without never costs a goroutine. Stopped timers are reported as
+	// cancelled by the collector below.
+	var timers []*time.Timer
 	for i := range arms {
 		wg.Add(1)
-		go func(i int, a Arm) {
-			defer wg.Done()
-			armStart := time.Now()
-			if a.Delay > 0 {
-				timer := time.NewTimer(a.Delay)
-				select {
-				case <-timer.C:
-				case <-rctx.Done():
-					timer.Stop()
-					results <- armResult{idx: i, err: rctx.Err(), elapsed: time.Since(armStart)}
-					return
-				}
+		if d := arms[i].Delay; d > 0 {
+			if timers == nil {
+				timers = make([]*time.Timer, len(arms))
 			}
-			set, err := a.Run(rctx, &telemetry[i])
-			results <- armResult{idx: i, set: set, err: err, elapsed: time.Since(armStart)}
-		}(i, arms[i])
+			timers[i] = time.AfterFunc(d, func() { run(i) })
+			continue
+		}
+		go run(i)
+	}
+	var stop <-chan struct{}
+	if timers != nil {
+		stop = rctx.Done()
 	}
 
 	// Collect every arm's result; the first settling result cancels the
@@ -234,8 +251,23 @@ func Race(ctx context.Context, arms []Arm) (*Outcome, error) {
 	reports := make([]ArmReport, len(arms))
 	settled := false
 	firstDefinitive, firstPrimary, firstAdvisory := -1, -1, -1
-	for received := 0; received < len(arms); received++ {
-		r := <-results
+	for received := 0; received < len(arms); {
+		var r armResult
+		select {
+		case r = <-results:
+		case <-stop:
+			// Settled or cancelled: arms still waiting on their timers
+			// never start.
+			stop = nil
+			for i, t := range timers {
+				if t != nil && t.Stop() {
+					wg.Done()
+					results <- armResult{idx: i, err: rctx.Err(), elapsed: time.Since(start)}
+				}
+			}
+			continue
+		}
+		received++
 		a := &arms[r.idx]
 		rep := ArmReport{Kind: a.Kind, Elapsed: r.elapsed, Err: r.err}
 		switch {

@@ -257,6 +257,44 @@ func TestRaceDelayedArmNeverRunsWhenSettled(t *testing.T) {
 	}
 }
 
+// A backup whose delay expires while the definitive arm is still busy
+// must not start once that arm has finished: on one P the timer's
+// goroutine can be scheduled before the collector, so the finishing
+// arm cancels the race itself.
+func TestRaceDelayedArmNotStartedAfterSettlingArm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for trial := 0; trial < 20; trial++ {
+		// A host pause can get the busy arm preempted, letting the backup
+		// start before the race settles; only running after the exact arm
+		// finished, on a race nobody cancelled, is a failure.
+		var done, ran atomic.Bool
+		arms := []Arm{
+			{Kind: ArmExact, Definitive: true, Run: func(ctx context.Context, _ *Telemetry) (*anneal.SampleSet, error) {
+				// Busy past the backup's delay without yielding.
+				for deadline := time.Now().Add(2 * time.Millisecond); time.Now().Before(deadline); {
+				}
+				done.Store(true)
+				return stubSet(-3), nil
+			}},
+			{Kind: ArmTempering, Delay: 100 * time.Microsecond, Run: func(ctx context.Context, _ *Telemetry) (*anneal.SampleSet, error) {
+				ran.Store(done.Load() && ctx.Err() == nil)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}},
+		}
+		o, err := Race(context.Background(), arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Winner != ArmExact {
+			t.Fatalf("trial %d: winner = %s", trial, KindName(o.Winner))
+		}
+		if ran.Load() {
+			t.Fatalf("trial %d: the backup ran after the exact arm settled the race", trial)
+		}
+	}
+}
+
 // TestRaceLeavesNoGoroutines pins the teardown contract: after a Race
 // returns — winner, loser cancellations and all — the goroutine count
 // returns to its baseline, so losing arms hold no PackedKernel buffers

@@ -452,7 +452,8 @@ func (s *Solver) optimizeContext(ctx context.Context, hard []Constraint, soft []
 
 // optimizeSharded is the optimize analogue of solveSharded: the
 // combined model's components are solved as independent shards and the
-// k-th-best merged candidates are graded against the theory objective.
+// merged candidates (shardCandidates) are graded against the theory
+// objective.
 // handled is false when the interaction graph is connected.
 func (s *Solver) optimizeSharded(ctx context.Context, pl *optPlan, model *qubo.Model, red *qubo.Reduction, start time.Time, st *SolveStats) (*Result, error, bool) {
 	shards := qubo.Components(model)
@@ -485,13 +486,13 @@ func (s *Solver) optimizeSharded(ctx context.Context, pl *optPlan, model *qubo.M
 			continue
 		}
 
-		limit := s.opts.CandidatesPerAttempt
-		if limit > maxLen {
-			limit = maxLen
-		}
+		cands := newShardCandidates(model, plans, sets, maxLen, s.opts.CandidatesPerAttempt, s.opts.Seed, attempt)
 		phase = time.Now()
-		for k := 0; k < limit; k++ {
-			x, energy := mergeShardCandidate(model, plans, sets, k)
+		for {
+			x, energy, more := cands.next()
+			if !more {
+				break
+			}
 			w, obj, vals, ok, fatal, checkErr := pl.grade(liftBits(red, x), st)
 			if fatal != nil {
 				st.DecodeVerify += time.Since(phase)

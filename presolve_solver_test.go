@@ -235,10 +235,11 @@ func TestPresolveStatsAndMetrics(t *testing.T) {
 
 // Warm starts must be observable and bounded: a solve whose sampler
 // supports seeding counts WarmSeeded, and hits never exceed seeds.
-// Presolve is off so the mirror couplers survive and the SA path
-// actually runs.
+// Presolve is off so the mirror couplers survive, and the explicit
+// sampler keeps the whole-model SA path (the default Solve would solve
+// the mirror components exactly).
 func TestWarmStartObserved(t *testing.T) {
-	s := NewSolver(&Options{Seed: 4, Presolve: Off})
+	s := NewSolver(&Options{Seed: 4, Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
 	res, err := s.Solve(Palindrome(6))
 	if err != nil {
 		t.Fatalf("solve: %v", err)

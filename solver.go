@@ -60,7 +60,10 @@ func (t Toggle) enabled(def bool) bool {
 type Options struct {
 	// Sampler minimizes the QUBOs. Default: a SimulatedAnnealer with
 	// 64 reads and 1000 sweeps — the neal-equivalent configuration the
-	// paper evaluates on.
+	// paper evaluates on. Solve runs it only on connected models; the
+	// shards that the closed-form and exact tiers cannot take are raced
+	// by the portfolio instead (see SolveContext and Portfolio). Setting
+	// a Sampler makes Solve anneal the whole model unless Shard is set.
 	Sampler Sampler
 	// MaxAttempts bounds the verify-retry loop: after a failed
 	// verification the solver re-anneals with a fresh seed. Default 4.
@@ -76,7 +79,8 @@ type Options struct {
 	// *reverse annealing* from the previous attempt's best sample:
 	// instead of a fresh random start, the annealer partially reheats
 	// the near-miss and re-cools, exploring its neighborhood — the
-	// refinement mode of real annealing hardware. Only applies when no
+	// refinement mode of real annealing hardware. Only applies to
+	// whole-model solves (connected models, see SolveContext) when no
 	// custom Sampler is set.
 	RefineRetries bool
 	// Metrics, when non-nil, receives per-solve counters, phase timings
@@ -84,13 +88,17 @@ type Options struct {
 	// numbers are always available per call via Result.Stats; Metrics
 	// adds the registry-backed aggregate view.
 	Metrics *SolverMetrics
-	// Shard decomposes each model into the connected components of its
-	// QUBO variable-interaction graph and solves the components as
-	// independent shards, merging the shard assignments back into one
-	// witness (see Solver.SolveBatch, which always shards). Coupler-free
-	// shards are solved closed-form and small shards by exact
-	// enumeration; the rest go to the sampler. Falls back to whole-model
-	// solving when the graph is connected.
+	// Shard opts custom-sampler solves and Optimize into the shard tier
+	// plan: the presolved model is decomposed into the connected
+	// components of its QUBO variable-interaction graph and the
+	// components are solved as independent shards, merging the shard
+	// assignments back into one witness. Coupler-free shards are solved
+	// closed-form and shards of ≤ ExactShardVars variables by exact
+	// enumeration; the rest go to the sampler (raced by the portfolio
+	// when no custom Sampler is set). Falls back to whole-model solving
+	// when the graph is connected. Solve and SolveBatch with the default
+	// sampler always run the tier plan; Optimize shards only when Shard
+	// is set.
 	Shard bool
 	// BatchWorkers bounds concurrent sampling operations (shard or
 	// whole-model) across a SolveBatch/EnumerateBatch call. Default
@@ -256,9 +264,14 @@ func (s *Solver) Solve(c Constraint) (*Result, error) {
 }
 
 // SolveContext runs the SMT loop on one constraint under ctx. The
-// context is threaded into every sampling call: context-aware samplers
-// (all module samplers and the remote client) abort mid-run, so a
-// deadline bounds the whole solve including retries.
+// model is presolved first; with the default sampler (or Options.Shard)
+// it is then solved by the shard tier plan — coupler-free components
+// closed-form, components of ≤ ExactShardVars variables by exact
+// enumeration, larger ones sampled or raced — and a connected model by
+// the whole-model anneal-decode-check loop. The context is threaded
+// into every sampling call: context-aware samplers (all module samplers
+// and the remote client) abort mid-run, so a deadline bounds the whole
+// solve including retries.
 func (s *Solver) SolveContext(ctx context.Context, c Constraint) (*Result, error) {
 	var st SolveStats
 	res, err := s.solveContext(ctx, c, &st)
@@ -426,6 +439,13 @@ func (s *Solver) racePortfolio(ctx context.Context, compiled *qubo.Compiled, see
 	return portfolio.Race(ctx, arms)
 }
 
+// tierPlan reports whether Solve runs the shard tier plan: always with
+// the default sampler, and with a custom Sampler when Options.Shard opts
+// in.
+func (s *Solver) tierPlan() bool {
+	return s.opts.Shard || s.opts.Sampler == nil
+}
+
 func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats) (*Result, error) {
 	start := time.Now()
 	model, err := c.BuildModel()
@@ -436,7 +456,7 @@ func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats)
 	// connected interaction graph can fall apart into components that the
 	// shard planner then solves closed-form or exactly.
 	work, red := s.presolve(model, st)
-	if s.opts.Shard {
+	if s.tierPlan() {
 		res, err, handled := s.solveSharded(ctx, c, work, red, model.N(), start, st)
 		if handled {
 			return res, err

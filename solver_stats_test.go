@@ -28,8 +28,10 @@ func (r *rejectFirstChecks) Check(w Witness) error {
 func TestResultStatsPopulated(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Presolve off: it solves Equality outright, and this test asserts
-	// the stats of a full annealing attempt (64 reads).
-	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Presolve: Off})
+	// the stats of a full annealing attempt (64 reads), which the
+	// explicit sampler keeps (the default Solve solves the coupler-free
+	// components closed-form).
+	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
 	res, err := s.Solve(Equality("hi"))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -180,12 +182,13 @@ func TestPipelineResultElapsed(t *testing.T) {
 }
 
 // TestSolveStatsKernelCounters pins the substrate kernel surface of
-// SolveStats and the qsmt_kernel_* metric family: a default solve runs
-// on the bit-parallel packed kernel and reports its lane-level work; a
-// scalar-forced solve reports comparable work with KernelPacked false.
+// SolveStats and the qsmt_kernel_* metric family: a whole-model SA
+// solve runs on the bit-parallel packed kernel and reports its
+// lane-level work; a scalar-forced solve reports comparable work with
+// KernelPacked false.
 func TestSolveStatsKernelCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Presolve: Off})
+	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
 	res, err := s.Solve(Equality("hi"))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
