@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt benchportfolio incrsmoke optsmoke portfoliosmoke tiersmoke perfbench fuzz
+.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt benchportfolio incrsmoke optsmoke portfoliosmoke tiersmoke searchsmoke perfbench fuzz
 
 ## check: the CI gate — build, vet (the whole module, including the new
 ## portfolio scheduler), race-checked tests, a 1-iteration benchmark
@@ -10,8 +10,9 @@ GO ?= go
 ## of the SMT-LIB front end (includes the remote fault-injection suite
 ## in internal/remote, the root-package context/failover acceptance
 ## tests, and — under -race — the batch/shard/cache concurrency suite),
-## plus the shard-tier-plan gate of the default Solve.
-check: build vet race benchsmoke benchpresolve incrsmoke optsmoke portfoliosmoke tiersmoke raceservice benchservice fuzz
+## plus the shard-tier-plan gate of the default Solve and the gate of
+## the shared search loop.
+check: build vet race benchsmoke benchpresolve incrsmoke optsmoke portfoliosmoke tiersmoke searchsmoke raceservice benchservice fuzz
 
 build:
 	$(GO) build ./...
@@ -153,6 +154,14 @@ optsmoke:
 tiersmoke:
 	$(GO) test -race -run 'ShardCandidates|ExactTie|TierPlan' . ./internal/anneal
 
+## searchsmoke: the focused gate for the shared verify-retry loop
+## (search.go) — the golden results of every entry point, the
+## Options-matrix differential against the CP oracle, the allocation
+## guards of the benchmark's hot paths, the loop's stats regressions,
+## and the tier-plan and candidate-stream suites, all under -race.
+searchsmoke:
+	$(GO) test -race -run 'SearchGolden|OptionsMatrix|SearchAllocs|SearchCounts|WholeModelCountsWarmHits|TierPlan|ShardCandidates' .
+
 ## perfbench: one 20-second untraced run of the repository benchmark
 ## (BENCHMARK.json, perfbench/) on workload W with seed SEED, e.g.
 ## `make perfbench W=batch-shard SEED=3`. Prints the end-to-end metrics
@@ -170,11 +179,14 @@ incrsmoke:
 	$(GO) test -race -run 'Incremental|ScopeRegression|CachePresolve|CacheNeverServes' . ./internal/smtlib
 
 ## fuzz: a fixed short smoke of the native Go fuzz targets for the
-## SMT-LIB front end (lexer/parser and the batch interpreter path), so
-## malformed scripts that panic the CLI are caught in CI without an
-## open-ended fuzzing budget.
+## SMT-LIB front end (lexer/parser and the batch interpreter path) and
+## the remote surface (Retry-After hints, SampleRequest decode and
+## validation), so malformed input that panics the CLI or the daemon is
+## caught in CI without an open-ended fuzzing budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSExprs -fuzztime 5s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzParseScript -fuzztime 5s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzInterpreterBatch -fuzztime 10s ./internal/smtlib
+	$(GO) test -run '^$$' -fuzz FuzzParseRetryAfter -fuzztime 5s ./internal/remote
+	$(GO) test -run '^$$' -fuzz FuzzSampleRequest -fuzztime 5s ./internal/remote
 

@@ -173,23 +173,6 @@ func TestEnumerateIndexWitness(t *testing.T) {
 	}
 }
 
-func TestRefineRetriesSolvesWithReverseAnnealing(t *testing.T) {
-	// With a deliberately tiny first-attempt budget, refinement from the
-	// near-miss must still converge within the retry budget.
-	s := NewSolver(&Options{
-		Seed:          61,
-		MaxAttempts:   6,
-		RefineRetries: true,
-	})
-	got, err := s.SolveString(Equality("refine"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "refine" {
-		t.Errorf("got %q", got)
-	}
-}
-
 func TestSolvePeriodic(t *testing.T) {
 	s := testSolver(501)
 	got, err := s.SolveString(Periodic(3, 9))

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qsmt/internal/anneal"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -42,7 +41,6 @@ type componentEntry struct {
 	red      *qubo.Reduction   // nil when presolve is off or eliminated nothing
 	compiled *qubo.Compiled    // nil for coupler-free (closed-form) components
 	set      *anneal.SampleSet // component-local assignments, energy-sorted
-	trivial  bool              // coupler-free: solved closed-form
 }
 
 // IncrementalSession solves a sequence of related constraints, reusing
@@ -116,222 +114,98 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 	}
 	shards := qubo.Components(model)
 	st.Shards = len(shards)
-
-	// A variable-free model (e.g. an empty-string equality) has exactly
-	// one assignment; decode and check it directly.
+	pl := plan{model: model, entries: make([]shardPlan, len(shards)), mergeOnly: true,
+		attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
+	for i := range shards {
+		pl.entries[i].shard = &shards[i]
+	}
 	if len(shards) == 0 {
-		st.Attempts = 1
-		w, ok, fatal, checkErr := examineCandidate(c, []qubo.Bit{}, st)
-		if fatal != nil {
-			return nil, fatal
-		}
-		if !ok {
-			if checkErr != nil {
-				return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, checkErr)
-			}
-			return nil, ErrNoModel
-		}
-		return &Result{
-			Witness: w, Energy: model.Offset(), Attempts: 1,
-			Vars: 0, Shards: 0, Elapsed: time.Since(start), Stats: *st,
-		}, nil
+		// A variable-free model (e.g. an empty-string equality) has
+		// exactly one assignment; retrying cannot change it.
+		pl.attempts = 1
 	}
-
 	parent := is.parentFor(key, model.N())
-
-	var lastCheck error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: solving %s: %w", c.Name(), err)
-		}
-		st.Attempts = attempt + 1
-		st.Sampler = s.shardSamplerName(attempt)
-
-		// Resolve every component: memo hits are free; misses (and every
-		// component on a retry attempt, since a retry means the memoized
-		// combination failed verification) are solved fresh, reusing the
-		// memoized presolve reduction and compiled model where available.
-		sets := make([]*anneal.SampleSet, len(shards))
-		for i, sh := range shards {
-			fp := qubo.FingerprintOf(sh.Model)
-			prev := is.lookup(fp)
-			if attempt == 0 && prev != nil && prev.set.Len() > 0 {
-				st.IncrementalHits++
-				sets[i] = prev.set
-				continue
-			}
-			set, err := is.solveComponent(ctx, sh, fp, prev, parent, attempt, i, st)
-			if err != nil {
-				return nil, fmt.Errorf("qsmt: sampling %s (component %d/%d): %w", c.Name(), i, len(shards), err)
-			}
-			sets[i] = set
-		}
-
-		// Aggregate sample statistics across components: energies are
-		// additive over components plus the parent model's offset (the
-		// component models carry zero offsets; per-component presolve may
-		// move energy into a reduction offset, which the component's
-		// sample energies then already include).
-		best, mean, gf := model.Offset(), model.Offset(), 1.0
-		maxLen := 0
-		for _, ss := range sets {
-			st.Reads += ss.TotalReads()
-			st.observeKernel(ss.Kernel)
-			if ss.Len() == 0 {
-				maxLen = -1
-				break
-			}
-			if ss.Len() > maxLen && maxLen >= 0 {
-				maxLen = ss.Len()
-			}
-			best += ss.Best().Energy
-			mean += ss.MeanEnergy()
-			gf *= ss.GroundFraction(0)
-		}
-		if maxLen <= 0 {
-			// A (custom) sampler returned an empty set for some component;
-			// nothing to merge this attempt.
-			lastCheck = fmt.Errorf("qsmt: empty sample set for a component of %s", c.Name())
-			continue
-		}
-		st.observeBest(best)
-		st.MeanEnergy = mean
-		st.GroundFraction = gf
-
-		// Merge the k-th best sample of every component (clamped to each
-		// component's sample count) into the k-th full-space candidate —
-		// the same exact-decomposition merge the sharded solver uses.
-		limit := s.opts.CandidatesPerAttempt
-		if limit > maxLen {
-			limit = maxLen
-		}
-		phase := time.Now()
-		for k := 0; k < limit; k++ {
-			x := make([]qubo.Bit, model.N())
-			energy := model.Offset()
-			for i := range shards {
-				ss := sets[i]
-				idx := k
-				if idx >= ss.Len() {
-					idx = ss.Len() - 1
-				}
-				smp := ss.Samples[idx]
-				shards[i].Scatter(x, smp.X)
-				energy += smp.Energy
-			}
-			w, ok, fatal, checkErr := examineCandidate(c, x, st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			st.DecodeVerify += time.Since(phase)
-			is.setParent(key, x)
-			res := &Result{
-				Witness:  w,
-				Energy:   energy,
-				Attempts: attempt + 1,
-				Vars:     model.N(),
-				Shards:   len(shards),
-				Elapsed:  time.Since(start),
-			}
-			res.Stats = *st
-			return res, nil
-		}
-		st.DecodeVerify += time.Since(phase)
-	}
-	if lastCheck != nil {
-		return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-	}
-	return nil, ErrNoModel
-}
-
-// solveComponent solves one touched component and memoizes the result.
-// prev, when non-nil, is the component's previous memo entry; its
-// presolve reduction and compiled model are reused so a re-sample pays
-// only for sampler reads. The returned set holds component-local
-// full-space assignments (already lifted through the reduction).
-func (is *IncrementalSession) solveComponent(ctx context.Context, sh qubo.Shard, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, attempt, ordinal int, st *SolveStats) (*anneal.SampleSet, error) {
-	s := is.s
-	if sh.Model.NumQuadratic() == 0 {
-		st.ExactShards++
-		set := solveLinearShard(sh.Model, s.opts.Seed, attempt, ordinal)
-		is.store(fp, &componentEntry{set: set, trivial: true})
-		return set, nil
-	}
-
-	var red *qubo.Reduction
-	var compiled *qubo.Compiled
-	if prev != nil && prev.compiled != nil {
-		red, compiled = prev.red, prev.compiled
-		st.IncrementalPresolveReuses++
-	} else {
-		work, r := s.presolve(sh.Model, st)
-		red = r
-		phase := time.Now()
-		compiled = s.compileModel(work, st)
-		st.Compile += time.Since(phase)
-	}
-
-	var ss *anneal.SampleSet
-	var err error
-	warmed := false
-	if s.opts.ExactShardVars > 0 && compiled.N <= s.opts.ExactShardVars {
-		st.ExactShards++
-		phase := time.Now()
-		ss, err = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt}, compiled)
-		st.Sample += time.Since(phase)
-	} else if s.portfolioShards() {
-		// Race the portfolio arms on the component; the session's parent
-		// witness rides along as a warm-start seed like any other.
-		seeds := is.componentSeeds(compiled, red, sh, parent, st)
-		if len(seeds) > 0 {
-			warmed = true
-			st.WarmSeeded++
-		}
-		phase := time.Now()
-		var o *portfolio.Outcome
-		o, err = s.racePortfolio(ctx, compiled, seeds, attempt, ordinal)
-		st.Sample += time.Since(phase)
-		if err == nil {
-			st.observePortfolio(o)
-			ss = o.Set
-		}
-	} else {
-		sampler := Sampler(s.samplerFor(attempt))
-		if ws, ok := warmSampler(sampler, is.componentSeeds(compiled, red, sh, parent, st)); ok {
-			sampler = ws
-			warmed = true
-			st.WarmSeeded++
-		}
-		phase := time.Now()
-		ss, err = s.sample(ctx, sampler, compiled)
-		st.Sample += time.Since(phase)
-	}
-	if err != nil {
+	acc := &firstVerified{c: c, res: Result{Vars: model.N(), Shards: len(shards)}}
+	step := func(attempt int) error { return is.sampleComponents(ctx, &pl, parent, attempt, st) }
+	if err := s.search(ctx, c.Name(), &pl, step, acc, st); err != nil {
 		return nil, err
 	}
-	if warmed && ss.Len() > 0 && ss.Best().Warm {
-		st.WarmHits++
+	is.setParent(key, acc.x)
+	return finish(&acc.res, start, st), nil
+}
+
+// sampleComponents is the incremental sampling step. Memo hits are free
+// on the first attempt; misses — and every component on a retry, since a
+// retry means the memoized combination failed verification — are solved
+// fresh by solveComponent.
+func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, parent []qubo.Bit, attempt int, st *SolveStats) error {
+	for i := range pl.entries {
+		p := &pl.entries[i]
+		fp := qubo.FingerprintOf(p.shard.Model)
+		prev := is.lookup(fp)
+		if attempt == 0 && prev != nil && prev.set.Len() > 0 {
+			st.IncrementalHits++
+			p.set = prev.set
+			continue
+		}
+		if err := is.solveComponent(ctx, p, fp, prev, parent, attempt, i, st); err != nil {
+			return fmt.Errorf("component %d/%d: %w", i, len(pl.entries), err)
+		}
 	}
+	return nil
+}
+
+// solveComponent solves one touched component through the shared tier
+// switch and memoizes the result. prev, when non-nil, is the component's
+// previous memo entry; its presolve reduction and compiled model are
+// reused so a re-sample pays only for sampler reads. The entry's set
+// ends up holding component-local full-space assignments (already lifted
+// through the reduction).
+func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, attempt, ordinal int, st *SolveStats) error {
+	s := is.s
+	var red *qubo.Reduction
+	p.tier, p.seeds = tierClosedForm, nil
+	if p.shard.Model.NumQuadratic() > 0 {
+		if prev != nil && prev.compiled != nil {
+			red, p.compiled = prev.red, prev.compiled
+			st.IncrementalPresolveReuses++
+		} else {
+			work, r := s.presolve(p.shard.Model, st)
+			red = r
+			phase := time.Now()
+			p.compiled = s.compileModel(work, st)
+			st.Compile += time.Since(phase)
+		}
+		p.tier = s.tierOf(p.compiled)
+		if p.tier != tierExact && s.warmable() {
+			// The session's parent witness rides along as a warm-start
+			// seed like any other.
+			p.seeds = is.componentSeeds(p.compiled, red, p.shard, parent, st)
+		}
+	}
+	if p.tier <= tierExact {
+		st.ExactShards++
+	}
+	s.sampleEntry(ctx, p, attempt, ordinal)
+	if p.err != nil {
+		return p.err
+	}
+	st.observeEntry(p)
 
 	// Lift the samples back to the component's full space before
 	// memoizing, so merge-time Scatter and later memo hits need no
 	// reduction bookkeeping. The presolve identity keeps energies exact:
 	// E_component(Lift(x)) = E_reduced(x), offsets included.
 	if red != nil {
-		lifted := make([]anneal.Sample, ss.Len())
-		for k, smp := range ss.Samples {
+		lifted := make([]anneal.Sample, p.set.Len())
+		for k, smp := range p.set.Samples {
 			lifted[k] = smp
 			lifted[k].X = red.Lift(smp.X)
 		}
-		ss = &anneal.SampleSet{Samples: lifted}
+		p.set = &anneal.SampleSet{Samples: lifted}
 	}
-	is.store(fp, &componentEntry{red: red, compiled: compiled, set: ss})
-	return ss, nil
+	is.store(fp, &componentEntry{red: red, compiled: p.compiled, set: p.set})
+	return nil
 }
 
 // componentSeeds assembles warm-start states for a sampled component:
@@ -339,7 +213,7 @@ func (is *IncrementalSession) solveComponent(ctx context.Context, sh qubo.Shard,
 // and projected through its presolve reduction, then greedily polished
 // (anneal.PolishSeed) — leads, followed by the solver's standard greedy
 // seeds. Nil when warm starts are disabled.
-func (is *IncrementalSession) componentSeeds(compiled *qubo.Compiled, red *qubo.Reduction, sh qubo.Shard, parent []qubo.Bit, st *SolveStats) [][]qubo.Bit {
+func (is *IncrementalSession) componentSeeds(compiled *qubo.Compiled, red *qubo.Reduction, sh *qubo.Shard, parent []qubo.Bit, st *SolveStats) [][]qubo.Bit {
 	if !is.s.opts.WarmStart.enabled(true) {
 		return nil
 	}

@@ -1,0 +1,63 @@
+package remote
+
+import (
+	"encoding/json"
+	"net/http"
+	"strconv"
+	"testing"
+	"time"
+)
+
+// FuzzParseRetryAfter checks the backoff-hint parser on arbitrary header
+// values: the hint is never negative, and for integer hints a larger
+// value never gives a shorter backoff, in either header.
+func FuzzParseRetryAfter(f *testing.F) {
+	f.Add("120", uint64(1), uint64(2))
+	f.Add("Wed, 21 Oct 2015 07:28:00 GMT", uint64(9223372036), uint64(9223372037))
+	f.Add("-5", uint64(18446744073), uint64(18446744074))
+	f.Add("soon", uint64(0), uint64(18446744073709551615))
+	f.Fuzz(func(t *testing.T, raw string, a, b uint64) {
+		for _, name := range []string{"Retry-After", "Retry-After-Ms"} {
+			hint := func(v string) time.Duration {
+				h := http.Header{}
+				h.Set(name, v)
+				return parseRetryAfter(h)
+			}
+			if d := hint(raw); d < 0 {
+				t.Fatalf("%s: %q = %v, negative", name, raw, d)
+			}
+			lo, hi := min(a, b), max(a, b)
+			dlo, dhi := hint(strconv.FormatUint(lo, 10)), hint(strconv.FormatUint(hi, 10))
+			if dhi < dlo {
+				t.Fatalf("%s: %d gives %v, shorter than %v for %d", name, hi, dhi, dlo, lo)
+			}
+		}
+	})
+}
+
+// FuzzSampleRequest checks the request gate every submission path
+// shares: decoding arbitrary JSON and validating it never panics, and a
+// request that passes names a model and carries no negative reads or
+// sweeps.
+func FuzzSampleRequest(f *testing.F) {
+	f.Add([]byte(`{"qubo":"qubo 2\nl 0 -1\nl 1 -1\n","reads":8,"sweeps":200}`))
+	f.Add([]byte(`{"fingerprint":"qf1-2-2-1-0000000000000000-0000000000000000","reads":4}`))
+	f.Add([]byte(`{"qubo":"qubo 1\n","reads":-1}`))
+	f.Add([]byte(`{"sweeps":-9223372036854775808}`))
+	f.Add([]byte(`{"reads":1e3,"portfolio":true}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SampleRequest
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		if validateRequest(req) != nil {
+			return
+		}
+		if req.Reads < 0 || req.Sweeps < 0 {
+			t.Fatalf("accepted negative knobs: reads %d, sweeps %d", req.Reads, req.Sweeps)
+		}
+		if req.QUBO == "" && req.Fingerprint == "" {
+			t.Fatalf("accepted a request that names no model: %s", body)
+		}
+	})
+}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -283,20 +284,19 @@ func (c *Client) SampleJob(ctx context.Context, compiled *qubo.Compiled, job Job
 // reply. Retry-After-Ms (this service's exact millisecond-resolution
 // hint) wins when present; otherwise the standard Retry-After header is
 // accepted in both RFC 9110 forms — integer seconds and HTTP-date.
-// Absent, malformed, or non-positive hints yield 0 (no hint).
+// Absent, malformed, or non-positive hints yield 0 (no hint); integer
+// hints too large for a Duration saturate at the largest one (the sleep
+// is still bounded by the caller's context).
 func parseRetryAfter(h http.Header) time.Duration {
-	if ms, err := strconv.ParseInt(h.Get("Retry-After-Ms"), 10, 64); err == nil && ms > 0 {
-		return time.Duration(ms) * time.Millisecond
+	if d, ok := hintDuration(h.Get("Retry-After-Ms"), time.Millisecond); ok && d > 0 {
+		return d
 	}
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs > 0 {
-			return time.Duration(secs) * time.Second
-		}
-		return 0
+	if d, ok := hintDuration(v, time.Second); ok {
+		return d
 	}
 	if at, err := http.ParseTime(v); err == nil {
 		if d := time.Until(at); d > 0 {
@@ -304,6 +304,24 @@ func parseRetryAfter(h http.Header) time.Duration {
 		}
 	}
 	return 0
+}
+
+// hintDuration parses an integer count of unit, saturating instead of
+// wrapping: values past the int64 range or whose product with unit
+// overflows become the largest Duration, non-positive ones 0. ok is
+// false when v is not an integer.
+func hintDuration(v string, unit time.Duration) (d time.Duration, ok bool) {
+	n, err := strconv.ParseInt(v, 10, 64) // ErrRange comes with n clamped to the int64 range
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, false
+	}
+	switch {
+	case n <= 0:
+		return 0, true
+	case n > math.MaxInt64/int64(unit):
+		return math.MaxInt64, true
+	}
+	return time.Duration(n) * unit, true
 }
 
 // sleepFor sleeps d or returns early with the context's error.

@@ -11,6 +11,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -103,6 +104,30 @@ func TestParseRetryAfterForms(t *testing.T) {
 	}
 	if got := parseRetryAfter(mk("Retry-After", "soon")); got != 0 {
 		t.Errorf("garbage = %v, want 0", got)
+	}
+}
+
+// Integer hints too large for a Duration saturate instead of wrapping
+// to a short or negative backoff.
+func TestParseRetryAfterSaturates(t *testing.T) {
+	const forever = time.Duration(math.MaxInt64)
+	for _, c := range []struct {
+		header, value string
+		want          time.Duration
+	}{
+		{"Retry-After", "18446744074", forever},       // ~584 years; used to wrap to 290ms
+		{"Retry-After-Ms", "18446744073710", forever}, // used to wrap to 448µs
+		{"Retry-After", "9300000000", forever},        // used to wrap negative, dropping the hint
+		{"Retry-After", "99999999999999999999", forever},
+		{"Retry-After-Ms", "99999999999999999999", forever},
+		{"Retry-After", "-99999999999999999999", 0},
+		{"Retry-After", "9223372036", 9223372036 * time.Second}, // the largest whole-second hint
+	} {
+		h := http.Header{}
+		h.Set(c.header, c.value)
+		if got := parseRetryAfter(h); got != c.want {
+			t.Errorf("%s: %s = %v, want %v", c.header, c.value, got, c.want)
+		}
 	}
 }
 

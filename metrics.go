@@ -51,10 +51,11 @@ type SolveStats struct {
 	// warm-start hit rate.
 	WarmHits int
 
-	// Shards is how many independent connected components the solve was
-	// decomposed into (0 when sharding was not requested, 1 when it was
-	// requested but the interaction graph was connected and the solve
-	// fell back to the whole model).
+	// Shards is how many connected-component shards the solve's plan
+	// had: 0 for a whole-model solve (sharding not requested, or
+	// requested on a connected model — see ShardFallback). Incremental
+	// solves always plan per component, so a connected model counts 1
+	// there. Result.Shards reports 1 for a whole-model solve.
 	Shards int
 	// ExactShards counts shards solved without the configured sampler:
 	// closed-form (coupler-free) shards plus exhaustively enumerated
@@ -68,8 +69,8 @@ type SolveStats struct {
 	CacheHits int
 
 	// Portfolio scheduler (Options.Portfolio). PortfolioRaces counts
-	// races run during this solve (one per sampled shard per attempt, or
-	// one per whole-model attempt when forced On); PortfolioArmWins
+	// races run during this solve (one per raced shard per attempt;
+	// whole-model attempts never race); PortfolioArmWins
 	// tallies race winners by arm kind (index with portfolio.ArmKind);
 	// PortfolioCancelled counts losing arms cut off mid-run;
 	// PortfolioEarlyStops counts races whose winning annealer arm was

@@ -26,11 +26,10 @@ package qsmt
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
-	"qsmt/internal/anneal"
 	"qsmt/internal/core"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -115,19 +114,12 @@ type optPlan struct {
 func modelSpan(m *qubo.Model) float64 {
 	span := 0.0
 	for i := 0; i < m.N(); i++ {
-		span += abs(m.Linear(i))
+		span += math.Abs(m.Linear(i))
 	}
 	for _, t := range m.Terms() {
-		span += abs(t.W)
+		span += math.Abs(t.W)
 	}
 	return span
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // buildOptimizePlan assembles the combined model. The hard weight M is
@@ -209,10 +201,10 @@ func (s *Solver) buildOptimizePlan(hard []Constraint, soft []SoftConstraint) (*o
 	// exactly the unconstrained positions the objectives exist to grade.
 	cutoff := hm.MaxAbsCoefficient() / 4
 	gap := 0.0
-	strong := func(v float64) bool { return abs(v) >= cutoff }
+	strong := func(v float64) bool { return math.Abs(v) >= cutoff }
 	observeGap := func(v float64) {
-		if v != 0 && strong(v) && (gap == 0 || abs(v) < gap) {
-			gap = abs(v)
+		if v != 0 && strong(v) && (gap == 0 || math.Abs(v) < gap) {
+			gap = math.Abs(v)
 		}
 	}
 	for i := 0; i < H; i++ {
@@ -285,33 +277,29 @@ func (s *Solver) buildOptimizePlan(hard []Constraint, soft []SoftConstraint) (*o
 
 // grade evaluates one combined-space assignment: decode and check the
 // hard constraint on the leading hard variables, then compute the
-// weighted theory objective of the witness. ok is false when the
-// candidate fails the hard constraint (checkErr says why); fatal
-// carries a proved-unsatisfiable verdict.
-func (pl *optPlan) grade(full []qubo.Bit, st *SolveStats) (w Witness, obj float64, vals []float64, ok bool, fatal, checkErr error) {
+// weighted theory objective of the witness.
+func (pl *optPlan) grade(full []qubo.Bit) (w Witness, obj float64, vals []float64, v verdict, err error) {
 	hardBits := full
 	if len(full) >= pl.hardVars {
 		hardBits = full[:pl.hardVars]
 	}
-	w, ok, fatal, checkErr = examineCandidate(pl.hard, hardBits, st)
-	if !ok {
-		return Witness{}, 0, nil, false, fatal, checkErr
+	if w, v, err = examineCandidate(pl.hard, hardBits); v != verified {
+		return Witness{}, 0, nil, v, err
 	}
 	vals = make([]float64, len(pl.softs))
 	for i, sc := range pl.softs {
 		if o, graded := sc.C.(core.Objective); graded {
-			v, err := o.Value(w)
+			val, err := o.Value(w)
 			if err != nil {
-				st.VerifyFailures++
-				return Witness{}, 0, nil, false, nil, fmt.Errorf("qsmt: soft constraint %d (%s): %w", i, sc.C.Name(), err)
+				return Witness{}, 0, nil, unverified, fmt.Errorf("qsmt: soft constraint %d (%s): %w", i, sc.C.Name(), err)
 			}
-			vals[i] = v
+			vals[i] = val
 		} else if sc.C.Check(w) != nil {
 			vals[i] = 1
 		}
 		obj += sc.Weight * vals[i]
 	}
-	return w, obj, vals, true, nil, nil
+	return w, obj, vals, verified, nil
 }
 
 // Optimize finds a witness satisfying every hard constraint that
@@ -338,208 +326,27 @@ func (s *Solver) OptimizeContext(ctx context.Context, hard []Constraint, soft []
 
 func (s *Solver) optimizeContext(ctx context.Context, hard []Constraint, soft []SoftConstraint, st *SolveStats) (*Result, error) {
 	start := time.Now()
-	pl, err := s.buildOptimizePlan(hard, soft)
+	op, err := s.buildOptimizePlan(hard, soft)
 	if err != nil {
 		return nil, err
 	}
-	st.SoftTerms = len(pl.softs)
-	st.HardWeight = pl.hardWeight
+	st.SoftTerms = len(op.softs)
+	st.HardWeight = op.hardWeight
 
-	work, red := s.presolveProtected(pl.combined, pl.protected, st)
-	if s.opts.Shard {
-		res, err, handled := s.optimizeSharded(ctx, pl, work, red, start, st)
-		if handled {
-			return res, err
-		}
-		st.ShardFallback = true
-	}
-	compiled := s.compileModel(work, st)
+	work, red := s.presolveProtected(op.combined, op.protected, st)
+	pl := s.newPlan(work, red, s.opts.Shard, st)
 	st.Compile = time.Since(start) - st.Presolve
-	seeds := s.warmSeeds(compiled)
-
-	var incumbent *Result
-	var lastCheck error
-	var lastBest []qubo.Bit
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: optimizing %s: %w", pl.hard.Name(), err)
-		}
-		refining := s.opts.RefineRetries && s.opts.Sampler == nil && attempt > 0 && lastBest != nil
-		var ss *anneal.SampleSet
-		var err error
-		st.Attempts = attempt + 1
-		if s.portfolioWholeModel() && !refining {
-			st.Sampler = "portfolio"
-			if len(seeds) > 0 {
-				st.WarmSeeded++
-			}
-			phase := time.Now()
-			var o *portfolio.Outcome
-			o, err = s.racePortfolio(ctx, compiled, seeds, attempt, 0)
-			st.Sample += time.Since(phase)
-			if err == nil {
-				st.observePortfolio(o)
-				ss = o.Set
-			}
-		} else {
-			sampler := s.samplerFor(attempt)
-			if refining {
-				sampler = &anneal.ReverseAnnealer{
-					Initial: lastBest,
-					Reads:   64,
-					Sweeps:  1000,
-					Seed:    s.opts.Seed + int64(attempt)*1_000_003,
-				}
-			} else if ws, ok := warmSampler(sampler, seeds); ok {
-				sampler = ws
-				st.WarmSeeded++
-			}
-			st.Sampler = samplerName(sampler)
-			phase := time.Now()
-			ss, err = s.sample(ctx, sampler, compiled)
-			st.Sample += time.Since(phase)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", pl.hard.Name(), err)
-		}
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
-		if len(ss.Samples) == 0 {
-			lastCheck = fmt.Errorf("qsmt: sampler returned an empty sample set for %s", pl.hard.Name())
-			continue
-		}
-		lastBest = ss.Best().X
-		st.observeBest(ss.Best().Energy)
-		st.MeanEnergy = ss.MeanEnergy()
-		st.GroundFraction = ss.GroundFraction(0)
-
-		limit := s.opts.CandidatesPerAttempt
-		if limit > len(ss.Samples) {
-			limit = len(ss.Samples)
-		}
-		phase := time.Now()
-		for k := 0; k < limit; k++ {
-			sample := ss.Samples[k]
-			w, obj, vals, ok, fatal, checkErr := pl.grade(liftBits(red, sample.X), st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			if incumbent == nil || obj < incumbent.Objective-optObjectiveEps {
-				st.ObjectiveImprovements++
-				incumbent = &Result{
-					Witness:         w,
-					Energy:          sample.Energy,
-					Attempts:        attempt + 1,
-					Vars:            pl.combined.N(),
-					Shards:          1,
-					Objective:       obj,
-					ObjectiveValues: vals,
-				}
-			}
-		}
-		st.DecodeVerify += time.Since(phase)
-		if incumbent != nil && incumbent.Objective <= pl.bound+optObjectiveEps {
-			break // proved optimal; further attempts cannot improve
-		}
+	acc := &gradedIncumbent{pl: op, res: Result{Vars: op.combined.N(), Shards: len(pl.entries)}}
+	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }
+	if err := s.search(ctx, op.hard.Name(), &pl, step, acc, st); err != nil {
+		return nil, err
 	}
-	return s.finishOptimize(pl, incumbent, lastCheck, start, st)
-}
-
-// optimizeSharded is the optimize analogue of solveSharded: the
-// combined model's components are solved as independent shards and the
-// merged candidates (shardCandidates) are graded against the theory
-// objective.
-// handled is false when the interaction graph is connected.
-func (s *Solver) optimizeSharded(ctx context.Context, pl *optPlan, model *qubo.Model, red *qubo.Reduction, start time.Time, st *SolveStats) (*Result, error, bool) {
-	shards := qubo.Components(model)
-	if len(shards) <= 1 {
-		return nil, nil, false
-	}
-	st.Shards = len(shards)
-	plans := s.planShards(shards, st)
-	st.Compile = time.Since(start) - st.Presolve
-
-	var incumbent *Result
-	var lastCheck error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: optimizing %s: %w", pl.hard.Name(), err), true
-		}
-		st.Attempts = attempt + 1
-		st.Sampler = s.shardSamplerName(attempt)
-
-		phase := time.Now()
-		sets, err := s.sampleShards(ctx, plans, attempt, st)
-		st.Sample += time.Since(phase)
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", pl.hard.Name(), err), true
-		}
-
-		maxLen := aggregateShardSets(model, sets, st)
-		if maxLen <= 0 {
-			lastCheck = fmt.Errorf("qsmt: empty sample set for a shard of %s", pl.hard.Name())
-			continue
-		}
-
-		cands := newShardCandidates(model, plans, sets, maxLen, s.opts.CandidatesPerAttempt, s.opts.Seed, attempt)
-		phase = time.Now()
-		for {
-			x, energy, more := cands.next()
-			if !more {
-				break
-			}
-			w, obj, vals, ok, fatal, checkErr := pl.grade(liftBits(red, x), st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal, true
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			if incumbent == nil || obj < incumbent.Objective-optObjectiveEps {
-				st.ObjectiveImprovements++
-				incumbent = &Result{
-					Witness:         w,
-					Energy:          energy,
-					Attempts:        attempt + 1,
-					Vars:            pl.combined.N(),
-					Shards:          len(shards),
-					Objective:       obj,
-					ObjectiveValues: vals,
-				}
-			}
-		}
-		st.DecodeVerify += time.Since(phase)
-		if incumbent != nil && incumbent.Objective <= pl.bound+optObjectiveEps {
-			break
-		}
-	}
-	res, err := s.finishOptimize(pl, incumbent, lastCheck, start, st)
-	return res, err, true
-}
-
-// finishOptimize settles an optimize run: stamp the incumbent with
-// bound/optimality status and final stats, or report the failure.
-func (s *Solver) finishOptimize(pl *optPlan, incumbent *Result, lastCheck error, start time.Time, st *SolveStats) (*Result, error) {
-	if incumbent == nil {
-		if lastCheck != nil {
-			return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-		}
-		return nil, ErrNoModel
-	}
-	incumbent.ObjectiveBound = pl.bound
-	incumbent.ObjectiveOptimal = incumbent.Objective <= pl.bound+optObjectiveEps
-	incumbent.Elapsed = time.Since(start)
-	st.Objective = incumbent.Objective
-	st.ObjectiveBound = incumbent.ObjectiveBound
-	st.ObjectiveOptimal = incumbent.ObjectiveOptimal
+	res := &acc.res
+	res.ObjectiveBound = op.bound
+	res.ObjectiveOptimal = acc.optimal()
+	st.Objective = res.Objective
+	st.ObjectiveBound = res.ObjectiveBound
+	st.ObjectiveOptimal = res.ObjectiveOptimal
 	st.objectiveSet = true
-	incumbent.Stats = *st
-	return incumbent, nil
+	return finish(res, start, st), nil
 }

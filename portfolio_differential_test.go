@@ -110,15 +110,12 @@ func TestPortfolioEngagementRules(t *testing.T) {
 	if !s.portfolioShards() {
 		t.Error("default options: shard racing should be on")
 	}
-	if s.portfolioWholeModel() {
-		t.Error("default options: whole-model racing should stay off unless forced On")
-	}
 	s = NewSolver(&Options{Portfolio: Off})
 	if s.portfolioShards() {
 		t.Error("Portfolio: Off still races shards")
 	}
 	s = NewSolver(&Options{Portfolio: On, Sampler: inertSampler{}})
-	if s.portfolioShards() || s.portfolioWholeModel() {
+	if s.portfolioShards() {
 		t.Error("explicit Sampler must suppress racing even when forced On")
 	}
 }
@@ -134,7 +131,7 @@ func TestPortfolioStatsAndMetrics(t *testing.T) {
 		ExactShardVars: -1,
 		Metrics:        NewSolverMetrics(reg),
 	})
-	res, err := s.Solve(Reverse("hello"))
+	res, err := s.Solve(AvoidChars([]byte("t"), 3))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"qsmt/internal/anneal"
@@ -75,14 +76,6 @@ type Options struct {
 	// are decoded and checked per attempt before re-annealing.
 	// Default 16.
 	CandidatesPerAttempt int
-	// RefineRetries switches retry attempts (after the first) to
-	// *reverse annealing* from the previous attempt's best sample:
-	// instead of a fresh random start, the annealer partially reheats
-	// the near-miss and re-cools, exploring its neighborhood — the
-	// refinement mode of real annealing hardware. Only applies to
-	// whole-model solves (connected models, see SolveContext) when no
-	// custom Sampler is set.
-	RefineRetries bool
 	// Metrics, when non-nil, receives per-solve counters, phase timings
 	// and sample-quality observations (see NewSolverMetrics). The same
 	// numbers are always available per call via Result.Stats; Metrics
@@ -138,15 +131,15 @@ type Options struct {
 	// (internal/portfolio): each sampled shard races exact enumeration,
 	// adaptive packed annealing (warm and cold), greedy descent and
 	// staggered backup arms under one context, and the first decisive
-	// finisher cancels the rest. On by default for multi-shard solves
-	// (the sharded sat, optimize and incremental paths); On additionally
-	// forces racing on whole-model solves. Only applies when no custom
-	// Sampler is set — remote clients and test samplers keep the
-	// sequential path (the remote job path has its own server-side
-	// portfolio flag). Racing preserves verdicts but trades run-to-run
-	// witness determinism for latency: the winning arm depends on
-	// scheduling, so Off restores the fully deterministic sequential
-	// tier path.
+	// finisher cancels the rest. On by default (On is the same as the
+	// default) for the shards of the sharded sat, optimize and
+	// incremental paths; whole-model solves of connected models always
+	// run the sequential sampler. Only applies when no custom Sampler is
+	// set — remote clients and test samplers keep the sequential path
+	// (the remote job path has its own server-side portfolio flag).
+	// Racing preserves verdicts but trades run-to-run witness determinism
+	// for latency: the winning arm depends on scheduling, so Off restores
+	// the fully deterministic sequential tier path.
 	Portfolio Toggle
 	// HardWeight overrides the automatic weight-gap scaling of
 	// Solver.Optimize: the multiplier M applied to every hard-constraint
@@ -267,8 +260,8 @@ func (s *Solver) Solve(c Constraint) (*Result, error) {
 // model is presolved first; with the default sampler (or Options.Shard)
 // it is then solved by the shard tier plan — coupler-free components
 // closed-form, components of ≤ ExactShardVars variables by exact
-// enumeration, larger ones sampled or raced — and a connected model by
-// the whole-model anneal-decode-check loop. The context is threaded
+// enumeration, larger ones sampled or raced — and a connected model
+// whole by the configured sampler. The context is threaded
 // into every sampling call: context-aware samplers (all module samplers
 // and the remote client) abort mid-run, so a deadline bounds the whole
 // solve including retries.
@@ -280,27 +273,32 @@ func (s *Solver) SolveContext(ctx context.Context, c Constraint) (*Result, error
 	return res, err
 }
 
-// examineCandidate decodes and checks one assignment, updating the
-// candidate counters in st. ok reports a verified witness; a non-nil
-// fatal means the constraint is provably unsatisfiable and retrying is
-// pointless; otherwise checkErr carries the failure for error reporting.
-func examineCandidate(c Constraint, x []qubo.Bit, st *SolveStats) (w Witness, ok bool, fatal, checkErr error) {
-	st.Candidates++
+// verdict is what became of one examined candidate.
+type verdict uint8
+
+const (
+	verified    verdict = iota // the decoded witness passed Check
+	improved                   // verified and the new incumbent (Optimize)
+	undecodable                // Decode rejected the bitstring: a penalty violation
+	unverified                 // the decoded witness failed Check
+	unsat                      // Check proved the constraint unsatisfiable
+)
+
+// examineCandidate decodes and checks one assignment; err says why a
+// candidate that is not verified failed. An unsat verdict means
+// re-annealing is pointless.
+func examineCandidate(c Constraint, x []qubo.Bit) (Witness, verdict, error) {
 	w, err := c.Decode(x)
 	if err != nil {
-		st.PenaltyViolations++
-		return Witness{}, false, nil, err
+		return Witness{}, undecodable, err
 	}
 	if err := c.Check(w); err != nil {
-		st.VerifyFailures++
-		// A provably unsatisfiable constraint cannot be fixed by
-		// re-annealing.
 		if errors.Is(err, ErrUnsatisfiable) {
-			return Witness{}, false, err, err
+			return Witness{}, unsat, err
 		}
-		return Witness{}, false, nil, err
+		return Witness{}, unverified, err
 	}
-	return w, true, nil, nil
+	return w, verified, nil
 }
 
 // presolve runs the QUBO presolve stage on model when enabled, recording
@@ -373,42 +371,40 @@ func supportsWarmStart(sampler Sampler) bool {
 
 // warmSampler installs warm-start states on a copy of sampler when
 // supportsWarmStart allows it; otherwise the sampler is returned
-// unchanged with seeded=false.
-func warmSampler(sampler Sampler, seeds [][]qubo.Bit) (_ Sampler, seeded bool) {
+// unchanged.
+func warmSampler(sampler Sampler, seeds [][]qubo.Bit) Sampler {
 	if len(seeds) == 0 || !supportsWarmStart(sampler) {
-		return sampler, false
+		return sampler
 	}
 	switch sa := sampler.(type) {
 	case *anneal.SimulatedAnnealer:
 		cp := *sa
 		cp.InitialStates = seeds
-		return &cp, true
+		return &cp
 	case *anneal.ParallelTempering:
 		cp := *sa
 		cp.InitialStates = seeds
-		return &cp, true
+		return &cp
 	case *anneal.TabuSampler:
 		cp := *sa
 		cp.InitialStates = seeds
-		return &cp, true
+		return &cp
 	}
-	return sampler, false
+	return sampler
+}
+
+// warmable reports whether the configured sampler takes warm-start
+// states (see supportsWarmStart); the default annealer does.
+func (s *Solver) warmable() bool {
+	return s.opts.Sampler == nil || supportsWarmStart(s.opts.Sampler)
 }
 
 // portfolioShards reports whether sharded sampling should race the
-// portfolio arms: on by default (Options.Portfolio is a tri-state whose
-// default is on for multi-shard solves), and only when the solver runs
-// the default annealer — a custom Sampler (remote client, test double)
-// keeps the sequential path.
+// portfolio arms: on unless Options.Portfolio is Off, and only when the
+// solver runs the default annealer — a custom Sampler (remote client,
+// test double) keeps the sequential path.
 func (s *Solver) portfolioShards() bool {
 	return s.opts.Portfolio.enabled(true) && s.opts.Sampler == nil
-}
-
-// portfolioWholeModel reports whether whole-model sampling should race:
-// only when Portfolio is forced On (the default races shards only,
-// where decomposition already proved independent subproblems).
-func (s *Solver) portfolioWholeModel() bool {
-	return s.opts.Portfolio == On && s.opts.Sampler == nil
 }
 
 // portfolioShardStride decorrelates per-shard race seeds within one
@@ -456,125 +452,21 @@ func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats)
 	// connected interaction graph can fall apart into components that the
 	// shard planner then solves closed-form or exactly.
 	work, red := s.presolve(model, st)
-	if s.tierPlan() {
-		res, err, handled := s.solveSharded(ctx, c, work, red, model.N(), start, st)
-		if handled {
-			return res, err
-		}
-		st.ShardFallback = true
-	}
-	compiled := s.compileModel(work, st)
+	pl := s.newPlan(work, red, s.tierPlan(), st)
 	st.Compile = time.Since(start) - st.Presolve
-	seeds := s.warmSeeds(compiled)
+	acc := &firstVerified{c: c, res: Result{Vars: model.N(), Shards: len(pl.entries)}}
+	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }
+	if err := s.search(ctx, c.Name(), &pl, step, acc, st); err != nil {
+		return nil, err
+	}
+	return finish(&acc.res, start, st), nil
+}
 
-	var lastCheck error
-	var lastBest []qubo.Bit
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: solving %s: %w", c.Name(), err)
-		}
-		refining := s.opts.RefineRetries && s.opts.Sampler == nil && attempt > 0 && lastBest != nil
-		var ss *anneal.SampleSet
-		var err error
-		warmed := false
-		st.Attempts = attempt + 1
-		if s.portfolioWholeModel() && !refining {
-			// Race the portfolio arms on the whole model; refinement
-			// attempts keep the sequential reverse annealer, which has no
-			// portfolio analogue.
-			st.Sampler = "portfolio"
-			if len(seeds) > 0 {
-				warmed = true
-				st.WarmSeeded++
-			}
-			phase := time.Now()
-			var o *portfolio.Outcome
-			o, err = s.racePortfolio(ctx, compiled, seeds, attempt, 0)
-			st.Sample += time.Since(phase)
-			if err == nil {
-				st.observePortfolio(o)
-				ss = o.Set
-			}
-		} else {
-			sampler := s.samplerFor(attempt)
-			if refining {
-				sampler = &anneal.ReverseAnnealer{
-					Initial: lastBest,
-					Reads:   64,
-					Sweeps:  1000,
-					Seed:    s.opts.Seed + int64(attempt)*1_000_003,
-				}
-			} else if ws, ok := warmSampler(sampler, seeds); ok {
-				sampler = ws
-				warmed = true
-				st.WarmSeeded++
-			}
-			st.Sampler = samplerName(sampler)
-			phase := time.Now()
-			ss, err = s.sample(ctx, sampler, compiled)
-			st.Sample += time.Since(phase)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", c.Name(), err)
-		}
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
-		if len(ss.Samples) == 0 {
-			// A (custom or remote) sampler returned a well-formed but
-			// empty set: nothing to decode this attempt. Record the
-			// failure so exhausting the retry budget reports the cause
-			// instead of a bare ErrNoModel.
-			lastCheck = fmt.Errorf("qsmt: sampler returned an empty sample set for %s", c.Name())
-			continue
-		}
-		lastBest = ss.Best().X
-		st.observeBest(ss.Best().Energy)
-		st.MeanEnergy = ss.MeanEnergy()
-		st.GroundFraction = ss.GroundFraction(0)
-		if warmed && ss.Best().Warm {
-			st.WarmHits++
-		}
-		limit := s.opts.CandidatesPerAttempt
-		if limit > len(ss.Samples) {
-			limit = len(ss.Samples)
-		}
-		phase := time.Now()
-		var accepted *Result
-		var fatal error
-		for k := 0; k < limit; k++ {
-			sample := ss.Samples[k]
-			w, ok, fat, checkErr := examineCandidate(c, liftBits(red, sample.X), st)
-			if fat != nil {
-				fatal = fat
-				break
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			accepted = &Result{
-				Witness:  w,
-				Energy:   sample.Energy,
-				Attempts: attempt + 1,
-				Vars:     model.N(),
-				Shards:   1,
-			}
-			break
-		}
-		st.DecodeVerify += time.Since(phase)
-		if fatal != nil {
-			return nil, fatal
-		}
-		if accepted != nil {
-			accepted.Elapsed = time.Since(start)
-			accepted.Stats = *st
-			return accepted, nil
-		}
-	}
-	if lastCheck != nil {
-		return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-	}
-	return nil, ErrNoModel
+// finish stamps an accepted result with its wall-clock time and stats.
+func finish(res *Result, start time.Time, st *SolveStats) *Result {
+	res.Elapsed = time.Since(start)
+	res.Stats = *st
+	return res
 }
 
 // SolveString solves a string-witness constraint and returns the string.
@@ -637,94 +529,25 @@ func witnessKey(w Witness) string {
 }
 
 func (s *Solver) enumerateContext(ctx context.Context, c Constraint, k int, st *SolveStats) ([]Witness, error) {
-	if k <= 0 {
-		k = 1
-	}
 	start := time.Now()
 	model, err := c.BuildModel()
 	if err != nil {
 		return nil, err
 	}
-	compiled := s.compileModel(model, st)
+	// Enumeration needs the full degenerate ground manifold: no presolve,
+	// no shards, no warm starts, and every sampled row is a candidate.
+	pl := s.wholePlan(model, nil, s.compileModel(model, st), nil)
 	st.Compile = time.Since(start)
-	seen := map[string]bool{}
-	seenAssign := map[string]bool{}
-	var out []Witness
-	var lastCheck error
 	// Scale attempts with the request: every attempt contributes an
 	// independent read set.
-	attempts := s.opts.MaxAttempts
-	if attempts < k {
-		attempts = k
+	pl.attempts = max(pl.attempts, k)
+	pl.limit = math.MaxInt
+	acc := &kDistinct{c: c, k: max(k, 1), seen: map[string]bool{}, assigns: map[string]bool{}}
+	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }
+	if err := s.search(ctx, c.Name(), &pl, step, acc, st); err != nil {
+		return nil, err
 	}
-	for attempt := 0; attempt < attempts && len(out) < k; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: enumerating %s: %w", c.Name(), err)
-		}
-		sampler := s.samplerFor(attempt)
-		st.Attempts = attempt + 1
-		st.Sampler = samplerName(sampler)
-		phase := time.Now()
-		ss, err := s.sample(ctx, sampler, compiled)
-		st.Sample += time.Since(phase)
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", c.Name(), err)
-		}
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
-		if len(ss.Samples) > 0 {
-			st.observeBest(ss.Best().Energy)
-			st.MeanEnergy = ss.MeanEnergy()
-			st.GroundFraction = ss.GroundFraction(0)
-		}
-		phase = time.Now()
-		fresh := 0
-		for _, sample := range ss.Samples {
-			if ak := bitKey(sample.X); !seenAssign[ak] {
-				seenAssign[ak] = true
-				fresh++
-			}
-			if len(out) >= k {
-				break
-			}
-			st.Candidates++
-			w, err := c.Decode(sample.X)
-			if err != nil {
-				st.PenaltyViolations++
-				lastCheck = err
-				continue
-			}
-			if err := c.Check(w); err != nil {
-				st.VerifyFailures++
-				lastCheck = err
-				if errors.Is(err, ErrUnsatisfiable) {
-					st.DecodeVerify += time.Since(phase)
-					return nil, err
-				}
-				continue
-			}
-			key := witnessKey(w)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, w)
-		}
-		st.DecodeVerify += time.Since(phase)
-		// A deterministic sampler (fixed seed, exact solver) re-delivers
-		// the identical sample set every attempt; once an attempt yields
-		// nothing previously unseen, further attempts cannot either.
-		if fresh == 0 {
-			break
-		}
-	}
-	if len(out) == 0 {
-		if lastCheck != nil {
-			return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-		}
-		return nil, ErrNoModel
-	}
-	return out, nil
+	return acc.out, nil
 }
 
 // sample runs one sampling call under ctx, using the sampler's native

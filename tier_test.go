@@ -16,19 +16,18 @@ import (
 // (shardCandidates).
 
 // planAndSample runs one attempt of the shard tiers on model.
-func planAndSample(t *testing.T, s *Solver, model *qubo.Model) ([]shardPlan, []*anneal.SampleSet, int) {
+func planAndSample(t *testing.T, s *Solver, model *qubo.Model) (*plan, int) {
 	t.Helper()
 	var st SolveStats
-	plans := s.planShards(qubo.Components(model), &st)
-	sets, err := s.sampleShards(context.Background(), plans, 0, &st)
-	if err != nil {
+	pl := s.newPlan(model, nil, true, &st)
+	if err := s.sampleShards(context.Background(), &pl, 0, &st); err != nil {
 		t.Fatal(err)
 	}
-	maxLen := aggregateShardSets(model, sets, &st)
-	if maxLen <= 0 {
-		t.Fatalf("maxLen = %d", maxLen)
+	rows := pl.aggregate(&st)
+	if rows <= 0 {
+		t.Fatalf("rows = %d", rows)
 	}
-	return plans, sets, maxLen
+	return &pl, rows
 }
 
 func drain(g shardCandidates) (xs [][]qubo.Bit, energies []float64) {
@@ -46,11 +45,11 @@ func TestShardCandidatesOneVariableShards(t *testing.T) {
 	const n, limit = 20, 16
 	model := qubo.New(n) // 20 free one-variable shards
 	s := NewSolver(&Options{Seed: 5, CandidatesPerAttempt: limit})
-	plans, sets, maxLen := planAndSample(t, s, model)
+	pl, maxLen := planAndSample(t, s, model)
 	if maxLen != 1 {
 		t.Fatalf("maxLen = %d, want 1 (one closed-form row per shard)", maxLen)
 	}
-	xs, _ := drain(newShardCandidates(model, plans, sets, maxLen, limit, 5, 0))
+	xs, _ := drain(newShardCandidates(pl, maxLen, 5, 0))
 	if len(xs) != limit {
 		t.Fatalf("got %d candidates, want %d", len(xs), limit)
 	}
@@ -64,8 +63,8 @@ func TestShardCandidatesOneVariableShards(t *testing.T) {
 
 	// Candidate 0 is the all-best merge.
 	want := make([]qubo.Bit, n)
-	for i := range plans {
-		plans[i].shard.Scatter(want, sets[i].Samples[0].X)
+	for _, p := range pl.entries {
+		p.shard.Scatter(want, p.set.Samples[0].X)
 	}
 	if bitKey(xs[0]) != bitKey(want) {
 		t.Errorf("candidate 0 = %s, want the all-best merge %s", bitKey(xs[0]), bitKey(want))
@@ -79,13 +78,13 @@ func TestShardCandidatesOneVariableShards(t *testing.T) {
 	}
 
 	// Draws are deterministic for a given seed.
-	again, _ := drain(newShardCandidates(model, plans, sets, maxLen, limit, 5, 0))
+	again, _ := drain(newShardCandidates(pl, maxLen, 5, 0))
 	for k := range xs {
 		if bitKey(xs[k]) != bitKey(again[k]) {
 			t.Fatalf("candidate %d differs between identical streams: %s vs %s", k, bitKey(xs[k]), bitKey(again[k]))
 		}
 	}
-	other, _ := drain(newShardCandidates(model, plans, sets, maxLen, limit, 6, 0))
+	other, _ := drain(newShardCandidates(pl, maxLen, 6, 0))
 	differs := false
 	for k := 3; k < limit; k++ {
 		differs = differs || bitKey(xs[k]) != bitKey(other[k])
@@ -109,8 +108,8 @@ func TestShardCandidatesCrossGroundManifolds(t *testing.T) {
 		model.AddQuadratic(a, b, 2)
 	}
 	s := NewSolver(&Options{Seed: 3, Portfolio: Off})
-	plans, sets, maxLen := planAndSample(t, s, model)
-	xs, es := drain(newShardCandidates(model, plans, sets, maxLen, 16, 3, 0))
+	pl, maxLen := planAndSample(t, s, model)
+	xs, es := drain(newShardCandidates(pl, maxLen, 3, 0))
 	if len(xs) != 16 {
 		t.Fatalf("got %d candidates, want 16", len(xs))
 	}
@@ -131,8 +130,8 @@ func TestShardCandidatesCrossGroundManifolds(t *testing.T) {
 func TestShardCandidatesExhaustSmallProducts(t *testing.T) {
 	model := qubo.New(2)
 	s := NewSolver(&Options{Seed: 2})
-	plans, sets, maxLen := planAndSample(t, s, model)
-	xs, _ := drain(newShardCandidates(model, plans, sets, maxLen, 16, 2, 0))
+	pl, maxLen := planAndSample(t, s, model)
+	xs, _ := drain(newShardCandidates(pl, maxLen, 2, 0))
 	if len(xs) != 4 {
 		t.Errorf("got %d candidates over 2 free variables, want 4", len(xs))
 	}
@@ -141,8 +140,8 @@ func TestShardCandidatesExhaustSmallProducts(t *testing.T) {
 	model.AddLinear(1, 1)
 	model.AddQuadratic(1, 2, 1)
 	model.AddLinear(2, 1)
-	plans, sets, maxLen = planAndSample(t, s, model)
-	xs, _ = drain(newShardCandidates(model, plans, sets, maxLen, 16, 2, 0))
+	pl, maxLen = planAndSample(t, s, model)
+	xs, _ = drain(newShardCandidates(pl, maxLen, 2, 0))
 	if len(xs) != 1 {
 		t.Errorf("got %d candidates of a unique-ground model, want 1", len(xs))
 	}
