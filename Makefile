@@ -1,18 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt benchportfolio incrsmoke optsmoke portfoliosmoke tiersmoke searchsmoke perfbench fuzz
+.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt incrsmoke optsmoke tiersmoke searchsmoke perfbench perfbenchcheck fuzz
 
-## check: the CI gate — build, vet (the whole module, including the new
-## portfolio scheduler), race-checked tests, a 1-iteration benchmark
-## smoke pass, the presolve ablation numbers, the incremental push/pop
-## smoke suite, the optimize-mode smoke suite, the portfolio race gate,
-## the service-layer race gate + load benchmark, and a short fuzz smoke
-## of the SMT-LIB front end (includes the remote fault-injection suite
-## in internal/remote, the root-package context/failover acceptance
-## tests, and — under -race — the batch/shard/cache concurrency suite),
-## plus the shard-tier-plan gate of the default Solve and the gate of
-## the shared search loop.
-check: build vet race benchsmoke benchpresolve incrsmoke optsmoke portfoliosmoke tiersmoke searchsmoke raceservice benchservice fuzz
+## check: the CI gate — build, vet, race-checked tests, a 1-iteration
+## benchmark smoke pass, the presolve ablation numbers, the incremental
+## push/pop smoke suite, the optimize-mode smoke suite, the service-layer
+## race gate + load benchmark, and a short fuzz smoke of the SMT-LIB
+## front end (includes the remote fault-injection suite in
+## internal/remote, the root-package context/failover acceptance tests,
+## and — under -race — the batch/shard/cache concurrency suite), plus
+## the tier-rule gate of the default Solve, the gate of the shared
+## search loop, and the vet and tests of the repository benchmark.
+check: build vet race benchsmoke benchpresolve incrsmoke optsmoke tiersmoke searchsmoke raceservice benchservice perfbenchcheck fuzz
 
 build:
 	$(GO) build ./...
@@ -36,9 +35,11 @@ racebatch:
 ## the half-open circuit breaker and probe/job failure split in the
 ## Pool, the bounded fair job queue, the async job API (shedding,
 ## long-poll, SSE streaming, cancel), the content-addressed model
-## cache, and the Flusher-forwarding metrics wrapper.
+## cache, the Flusher-forwarding metrics wrapper, the singleflight
+## compile-cache coalescing, and the job queue's cross-request
+## coalescing.
 raceservice:
-	$(GO) test -race -run 'HalfOpen|Probe|Launder|Queue|Job|Cache|Flusher|Stream' ./internal/remote ./internal/qubo ./cmd/annealerd
+	$(GO) test -race -run 'HalfOpen|Probe|Launder|Queue|Job|Cache|Flusher|Stream|Coalesc|Singleflight' ./internal/remote ./internal/qubo ./cmd/annealerd
 
 ## bench: run the Table 1 and substrate benchmarks and record them as
 ## BENCH_kernel.json (benchmark name -> ns/op, allocs/op, custom
@@ -119,27 +120,6 @@ benchopt:
 		| $(GO) run ./cmd/benchjson -o BENCH_opt.json
 	@cat BENCH_opt.json
 
-## benchportfolio: the portfolio-scheduler acceptance numbers — every
-## sampled shard of the 32-constraint batch workload solved by one
-## fixed sequential annealer run vs by the portfolio race, recorded as
-## BENCH_portfolio.json. Reports p50/p99 per mode, per-arm win counts,
-## the adaptive controller's saved reads, and the p99 ratio as
-## x_p99_speedup; acceptance is x_p99_speedup >= 3.
-benchportfolio:
-	$(GO) test -run '^$$' -bench 'BenchmarkPortfolio' -benchtime=3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_portfolio.json
-	@cat BENCH_portfolio.json
-
-## portfoliosmoke: the focused portfolio gate — race/cancellation
-## semantics and the goroutine-leak teardown audit in
-## internal/portfolio, the portfolio-vs-sequential differential suite
-## in the root package, the singleflight compile-cache coalescing
-## tests, and the job-queue cross-request coalescing suite, all
-## under -race.
-portfoliosmoke:
-	$(GO) test -race -run 'Portfolio|Race|Adaptive|NaiveLowerBound|BuildArms|Coalesc|Singleflight' \
-		. ./internal/portfolio ./internal/qubo ./internal/remote
-
 ## optsmoke: the focused optimize gate — the brute-force differential
 ## suite, hard-constraint inviolability under adversarial weights, the
 ## job-service optimize path, and the SMT-LIB assert-soft/minimize/
@@ -148,11 +128,15 @@ optsmoke:
 	$(GO) test -run 'Optimize|Lex|Soft|Minimize|Objectives' -count=1 . ./internal/smtlib
 
 ## tiersmoke: the focused gate for the default Solve's shard tier plan —
-## the merged-candidate generator, the exact-enumeration tie
-## regressions, and the tier-plan-vs-whole-model differential suite,
-## all under -race.
+## the static tier rule (closed-form, exact up to ExactShardVars, else
+## the sampler; connected and presolved-away models included), the
+## merged-candidate generator, the exact-enumeration tie regressions,
+## and the tier-plan-vs-whole-model differential suite — plus the race,
+## cancellation and goroutine-leak tests of internal/portfolio, whose
+## race the benchmark's stage replay still runs; all under -race.
 tiersmoke:
-	$(GO) test -race -run 'ShardCandidates|ExactTie|TierPlan' . ./internal/anneal
+	$(GO) test -race -run 'ShardCandidates|ExactTie|TierPlan|TierRule' . ./internal/anneal
+	$(GO) test -race -run 'Race|Adaptive|NaiveLowerBound|BuildArms' ./internal/portfolio
 
 ## searchsmoke: the focused gate for the shared verify-retry loop
 ## (search.go) — the golden results of every entry point, the
@@ -170,6 +154,12 @@ W ?= solve-whole
 SEED ?= 1
 perfbench:
 	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 20 --trace 0
+
+## perfbenchcheck: vet and test the repository benchmark (perfbench/, a
+## module of its own that compiles against this module's exported API),
+## so an API change that breaks the benchmark fails CI (about 6 s).
+perfbenchcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## incrsmoke: the focused incremental gate — scope-leak regressions,
 ## the incremental session tests, the presolve/cache isolation audit,

@@ -11,12 +11,16 @@ package qsmt
 //   - BenchmarkReads_*: Ext-B, annealing cost versus read count.
 //   - BenchmarkBaseline_*: Ext-C, the classical comparators on the same
 //     constraints.
+//   - BenchmarkTierCrossover: exact enumeration against the default
+//     annealer by model size, the measurement behind
+//     DefaultExactShardVars.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -337,6 +341,50 @@ func sweepModel(n int, dense bool) *qubo.Compiled {
 		}
 	}
 	return m.Compile()
+}
+
+// crossoverModel builds a deterministic random QUBO of n variables in
+// which every variable couples to 4 random partners, so the mean degree
+// is about 8, with uniform [-1, 1) coefficients.
+func crossoverModel(n int) *qubo.Compiled {
+	rng := rand.New(rand.NewSource(int64(n)))
+	m := qubo.New(n)
+	for i := 0; i < n; i++ {
+		m.AddLinear(i, 2*rng.Float64()-1)
+		for k := 0; k < 4; k++ {
+			if j := rng.Intn(n); j != i {
+				m.AddQuadratic(i, j, 2*rng.Float64()-1)
+			}
+		}
+	}
+	return m.Compile()
+}
+
+// BenchmarkTierCrossover times the two tiers a coupled plan entry can
+// take on random degree-~8 QUBOs (crossoverModel) of n = 8…20 variables:
+// single-worker exact enumeration keeping 16 candidates, as the exact
+// tier runs it, against the default 64-read × 1000-sweep simulated
+// annealer. Where the rows cross sets DefaultExactShardVars; the
+// figures are recorded in EXPERIMENTS.md.
+func BenchmarkTierCrossover(b *testing.B) {
+	for _, n := range []int{8, 12, 16, 18, 20} {
+		c := crossoverModel(n)
+		for _, tc := range []struct {
+			name    string
+			sampler Sampler
+		}{
+			{"exact", &anneal.ExactSolver{Workers: 1, MaxStates: 16}},
+			{"sa", &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000, Seed: 1}},
+		} {
+			b.Run(fmt.Sprintf("n%d/%s", n, tc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := tc.sampler.Sample(c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 func sweepCases() []struct {

@@ -133,7 +133,7 @@ func buildHandler(cfg config) (http.Handler, *obs.Registry, *remote.Pool, *remot
 		srv.NewSampler = func(req remote.SampleRequest) interface {
 			Sample(*qubo.Compiled) (*anneal.SampleSet, error)
 		} {
-			job := remote.Job{Reads: req.Reads, Sweeps: req.Sweeps, Seed: req.Seed, Portfolio: req.Portfolio}
+			job := remote.Job{Reads: req.Reads, Sweeps: req.Sweeps, Seed: req.Seed}
 			if job.Reads > maxReads {
 				job.Reads = maxReads
 			}

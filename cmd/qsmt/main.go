@@ -53,7 +53,6 @@ func main() {
 		sampleTimeout = flag.Duration("sample-timeout", 0, "deadline per sampling job (0 = none)")
 		presolve      = flag.Bool("presolve", true, "reduce each QUBO before sampling (persistency fixing, pendant folding, pair merging)")
 		warmstart     = flag.Bool("warmstart", true, "seed a fraction of annealer reads from greedy-descent and baseline-propagation states")
-		portfolio     = flag.Bool("portfolio", true, "race solver arms (exact, warm/cold adaptive annealing, tempering, descent) per shard and keep the first verified winner; local backend only engages it at the default -reads/-sweeps, remote backends race server-side")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: qsmt [flags] [file.smt2]\n\nFlags:\n")
@@ -66,16 +65,15 @@ func main() {
 		Sweeps: *sweeps,
 		Seed:   *seed,
 	}
-	// The solver's portfolio scheduler only engages on its own default
-	// sampler path (Options.Sampler == nil): an explicit sampler is a
-	// contract the racer must not silently replace. So the local backend
-	// drops the explicit annealer — and lets the solver race arms — only
-	// when the flags match what the solver would build anyway; custom
-	// -reads/-sweeps keep the explicit sequential annealer.
+	// The solver's shard tier plan (closed-form, exact enumeration, then
+	// the annealer per component) runs on its own default sampler path
+	// (Options.Sampler == nil). So the local backend drops the explicit
+	// annealer when the flags match what the solver would build anyway;
+	// custom -reads/-sweeps keep the explicit whole-model annealer.
 	localDefault := *reads == 64 && *sweeps == 1000
 	if *remoteURL != "" {
-		sampler = buildRemoteSampler(*remoteURL, *reads, *sweeps, *seed, *remoteRetries, *portfolio)
-	} else if *portfolio && localDefault && *sampleTimeout == 0 {
+		sampler = buildRemoteSampler(*remoteURL, *reads, *sweeps, *seed, *remoteRetries)
+	} else if localDefault && *sampleTimeout == 0 {
 		sampler = nil
 	}
 	if *sampleTimeout > 0 {
@@ -86,9 +84,6 @@ func main() {
 		MaxAttempts:  *attempts,
 		Seed:         *seed,
 		BatchWorkers: *workers,
-	}
-	if !*portfolio {
-		opts.Portfolio = qsmt.Off
 	}
 	if !*presolve {
 		opts.Presolve = qsmt.Off
@@ -133,9 +128,8 @@ func main() {
 // buildRemoteSampler wires one or more annealerd backends: a single URL
 // gets a retrying Client, several get a failover Pool. Backends that
 // fail the startup health probe are reported; startup aborts only when
-// none are healthy. portfolio asks each backend to race its own solver
-// arms per job instead of running one fixed annealer.
-func buildRemoteSampler(urlList string, reads, sweeps int, seed int64, retries int, portfolio bool) qsmt.Sampler {
+// none are healthy.
+func buildRemoteSampler(urlList string, reads, sweeps int, seed int64, retries int) qsmt.Sampler {
 	var urls []string
 	for _, u := range strings.Split(urlList, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -143,7 +137,7 @@ func buildRemoteSampler(urlList string, reads, sweeps int, seed int64, retries i
 		}
 	}
 	newClient := func(u string) *remote.Client {
-		return &remote.Client{BaseURL: u, Reads: reads, Sweeps: sweeps, Seed: seed, MaxRetries: retries, Portfolio: portfolio}
+		return &remote.Client{BaseURL: u, Reads: reads, Sweeps: sweeps, Seed: seed, MaxRetries: retries}
 	}
 	if len(urls) == 1 {
 		client := newClient(urls[0])

@@ -9,8 +9,8 @@ import (
 )
 
 // The time-to-solution statistic itself lives in internal/tts so the
-// online portfolio scheduler (reached from the root package, which this
-// package imports) can share it without an import cycle. The aliases
+// portfolio race (internal/portfolio) can share it without depending on
+// the experiment harness. The aliases
 // below keep the harness API — and every experiment script written
 // against it — unchanged.
 

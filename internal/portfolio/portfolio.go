@@ -21,6 +21,10 @@
 // so a settled race leaves no goroutines behind and no PackedKernel
 // buffers pinned — cancelled arms unwind through their samplers'
 // context checks and their kernels become garbage immediately.
+//
+// The solver no longer races: its only importer is the repository
+// benchmark's stage replay (perfbench/replay.go), and the package goes
+// when that replay does.
 package portfolio
 
 import (

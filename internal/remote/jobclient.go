@@ -4,7 +4,7 @@ package remote
 // drop-in sibling of SampleContext that rides the submit/poll protocol
 // instead of one long POST, and the lower-level SubmitJob/JobStatus/
 // WaitJob/CancelJob verbs compose for callers that manage many jobs at
-// once (the loadgen harness, a solver fanning out portfolio restarts).
+// once (the loadgen harness).
 //
 // Submission is content-addressed when the server cooperates: the
 // client first submits by model fingerprint alone; a 412 reply means

@@ -36,8 +36,7 @@ type ServerMetrics struct {
 	CASMisses    *obs.Counter // annealerd_cas_misses_total
 	CASPeerFills *obs.Counter // annealerd_cas_peer_fills_total
 
-	JobsCoalesced  *obs.Counter    // annealerd_jobs_coalesced_total
-	PortfolioRaces *obs.CounterVec // annealerd_portfolio_races_total{winner}
+	JobsCoalesced *obs.Counter // annealerd_jobs_coalesced_total
 }
 
 // NewServerMetrics registers the service metric families on r.
@@ -61,8 +60,7 @@ func NewServerMetrics(r *obs.Registry) *ServerMetrics {
 		CASMisses:    r.Counter("annealerd_cas_misses_total", "Fingerprint-only submissions that missed the content-addressed model cache."),
 		CASPeerFills: r.Counter("annealerd_cas_peer_fills_total", "Content-addressed cache misses filled by fetching a peer replica's entry."),
 
-		JobsCoalesced:  r.Counter("annealerd_jobs_coalesced_total", "Async job submissions coalesced onto an identical in-flight job."),
-		PortfolioRaces: r.CounterVec("annealerd_portfolio_races_total", "Portfolio-mode sampling jobs, by winning arm.", "winner"),
+		JobsCoalesced: r.Counter("annealerd_jobs_coalesced_total", "Async job submissions coalesced onto an identical in-flight job."),
 	}
 }
 
@@ -158,12 +156,6 @@ func (m *ServerMetrics) casPeerFill() {
 func (m *ServerMetrics) jobCoalesced() {
 	if m != nil {
 		m.JobsCoalesced.Inc()
-	}
-}
-
-func (m *ServerMetrics) portfolioRace(winner string) {
-	if m != nil {
-		m.PortfolioRaces.With(winner).Inc()
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 
 	"qsmt/internal/anneal"
 	"qsmt/internal/obs"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -59,11 +58,6 @@ type SampleRequest struct {
 	Reads       int    `json:"reads,omitempty"`       // 0 = server default
 	Sweeps      int    `json:"sweeps,omitempty"`      // 0 = server default
 	Seed        int64  `json:"seed,omitempty"`        // 0 = server default
-	// Portfolio asks the server to race its solver arms (exact
-	// enumeration, adaptive warm/cold annealing, greedy descent) instead
-	// of running one fixed annealer, returning the winner's samples.
-	// Ignored when the server installs a custom NewSampler factory.
-	Portfolio bool `json:"portfolio,omitempty"`
 }
 
 // WireSample is one returned read.
@@ -319,13 +313,7 @@ func (s *Server) runSample(ctx context.Context, req SampleRequest, compiled *qub
 		ctx, cancel = context.WithTimeout(ctx, s.SampleTimeout)
 		defer cancel()
 	}
-	var ss *anneal.SampleSet
-	var err error
-	if req.Portfolio && s.NewSampler == nil {
-		ss, err = s.samplePortfolio(ctx, req, compiled)
-	} else {
-		ss, err = anneal.SampleWithContext(ctx, s.sampler(req), compiled)
-	}
+	ss, err := anneal.SampleWithContext(ctx, s.sampler(req), compiled)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.Canceled):
@@ -359,42 +347,6 @@ func (s *Server) runSample(ctx context.Context, req SampleRequest, compiled *qub
 
 func writeStatusError(w http.ResponseWriter, se *StatusError) {
 	writeError(w, se.Code, se.Message)
-}
-
-// samplePortfolio serves a Portfolio request by racing the server-side
-// arm set (exact enumeration where the model is small enough, adaptive
-// warm/cold annealing, greedy descent) and returning the winner's
-// samples. Backup arms are disabled: a shared service bounds per-job
-// CPU, and tempering/scalar fallbacks triple the worst-case burn for a
-// latency win the client-side racer already provides.
-func (s *Server) samplePortfolio(ctx context.Context, req SampleRequest, compiled *qubo.Compiled) (*anneal.SampleSet, error) {
-	maxReads, maxSweeps := s.MaxReads, s.MaxSweeps
-	if maxReads <= 0 {
-		maxReads = DefaultMaxReads
-	}
-	if maxSweeps <= 0 {
-		maxSweeps = DefaultMaxSweeps
-	}
-	reads, sweeps := req.Reads, req.Sweeps
-	if reads > maxReads {
-		reads = maxReads
-	}
-	if sweeps > maxSweeps {
-		sweeps = maxSweeps
-	}
-	arms, _ := portfolio.BuildArms(portfolio.Config{
-		Compiled:  compiled,
-		Reads:     reads,
-		Sweeps:    sweeps,
-		Seed:      req.Seed,
-		NoBackups: true,
-	})
-	o, err := portfolio.Race(ctx, arms)
-	if err != nil {
-		return nil, err
-	}
-	s.Metrics.portfolioRace(portfolio.KindName(o.Winner))
-	return o.Set, nil
 }
 
 func (s *Server) sampler(req SampleRequest) interface {
@@ -519,10 +471,6 @@ type Client struct {
 	Reads      int           // per-job reads (0 = server default)
 	Sweeps     int           // per-job sweeps
 	Seed       int64         // per-job seed
-	// Portfolio asks the server to race its portfolio arms for every job
-	// this client submits (SampleRequest.Portfolio). Servers with a
-	// custom sampler factory ignore it.
-	Portfolio bool
 	// ClientID names this client to the job API's fairness scheduler
 	// (the X-Client-ID header); empty means the server buckets by
 	// remote host.
@@ -566,14 +514,11 @@ func (c *Client) maxResponseBytes() int64 {
 
 // Job carries per-job sampling knobs. Zero fields fall back to the
 // submitting client's own Reads/Sweeps/Seed (and from there to the
-// server defaults), so the zero Job changes nothing. Portfolio is
-// OR-ed with the client's: either side can opt a job into server-side
-// arm racing (a proxy forwards the request's bit this way).
+// server defaults), so the zero Job changes nothing.
 type Job struct {
-	Reads     int
-	Sweeps    int
-	Seed      int64
-	Portfolio bool
+	Reads  int
+	Sweeps int
+	Seed   int64
 }
 
 // Sample implements the sampler contract by round-tripping through the
@@ -682,10 +627,7 @@ func (c *Client) sampleRequest(compiled *qubo.Compiled, job Job) (SampleRequest,
 	if seed == 0 {
 		seed = c.Seed
 	}
-	return SampleRequest{
-		QUBO: quboText.String(), Reads: reads, Sweeps: sweeps, Seed: seed,
-		Portfolio: c.Portfolio || job.Portfolio,
-	}, nil
+	return SampleRequest{QUBO: quboText.String(), Reads: reads, Sweeps: sweeps, Seed: seed}, nil
 }
 
 // encodeRequest marshals the wire request for the sync sampling path.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"qsmt/internal/anneal"
 	"qsmt/internal/core"
@@ -233,61 +234,62 @@ func TestRequestSizeLimit(t *testing.T) {
 	}
 }
 
-// TestPortfolioRequestRacesServerSide: a client with Portfolio set makes
-// the server race its solver arms instead of running the fixed annealer,
-// and the race is visible in the server's metrics. The returned samples
-// must still decode to the model's true optimum.
+// An old client may still send the "portfolio" bit that once made the
+// server race its solver arms. The field is unknown to SampleRequest
+// now, so json.Unmarshal drops it: no race runs server-side, and both
+// the sync sample endpoint and the async job API serve the request with
+// the plain sampler.
 func TestPortfolioRequestRacesServerSide(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer((&Server{
-		Description: "portfolio-annealer",
-		Metrics:     NewServerMetrics(reg),
-	}).Handler())
-	t.Cleanup(srv.Close)
-	client := &Client{BaseURL: srv.URL, Reads: 16, Sweeps: 400, Seed: 5, Portfolio: true}
+	srv := &Server{Jobs: NewJobQueue(4, time.Minute), Metrics: NewServerMetrics(reg)}
+	hts := startJobServer(t, srv)
+	const body = `{"qubo":"qubo 2\nl 0 -1\nl 1 -1\n","reads":4,"sweeps":50,"portfolio":true`
 
-	m := qubo.New(8)
-	want := []qubo.Bit{1, 0, 1, 1, 0, 0, 1, 0}
-	for i, b := range want {
-		if b == 1 {
-			m.AddLinear(i, -1)
-		} else {
-			m.AddLinear(i, 1)
-		}
-	}
-	ss, err := client.Sample(m.Compile())
+	resp, err := http.Post(hts.URL+"/v1/sample", "application/json", strings.NewReader(body+"}"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := ss.Best()
-	for i := range want {
-		if best.X[i] != want[i] {
-			t.Fatalf("portfolio best = %v, want %v", best.X, want)
-		}
+	var sr SampleResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(sr.Samples) == 0 {
+		t.Fatalf("sample: status %d, %d samples, decode error %v", resp.StatusCode, len(sr.Samples), err)
 	}
 
+	resp, err = http.Post(hts.URL+"/v1/jobs", "application/json", strings.NewReader(body+`,"priority":"interactive"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatusResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit: status %d, decode error %v", resp.StatusCode, err)
+	}
+	resp, err = http.Get(hts.URL + "/v1/jobs/" + st.ID + "?wait=10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || st.State != "done" || st.Result == nil || len(st.Result.Samples) == 0 {
+		t.Fatalf("job: status %d, %+v, decode error %v", resp.StatusCode, st, err)
+	}
+	if best := st.Result.Samples[0]; best.X != "11" || best.Energy != -2 {
+		t.Errorf("job best sample %+v, want the ground state 11 at -2", best)
+	}
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	text := sb.String()
-	if !strings.Contains(text, "annealerd_portfolio_races_total") {
-		t.Fatalf("metrics exposition missing annealerd_portfolio_races_total:\n%s", text)
-	}
-	raced := false
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "annealerd_portfolio_races_total{") && !strings.HasSuffix(line, " 0") {
-			raced = true
-		}
-	}
-	if !raced {
-		t.Fatalf("no portfolio race recorded:\n%s", text)
+	if strings.Contains(sb.String(), "portfolio") {
+		t.Errorf("metrics exposition still has a portfolio series:\n%s", sb.String())
 	}
 }
 
-// A server with a custom NewSampler (proxy mode) must ignore the
-// portfolio bit locally — the flag is forwarded to backends by the
-// sampler itself, not raced on the proxy.
+// A server with a custom NewSampler (proxy mode) serves a request that
+// carries the legacy portfolio bit through its factory exactly once,
+// with the request's own knobs.
 func TestPortfolioRequestIgnoredWithCustomSampler(t *testing.T) {
 	calls := 0
 	srv := httptest.NewServer((&Server{
@@ -296,21 +298,24 @@ func TestPortfolioRequestIgnoredWithCustomSampler(t *testing.T) {
 			Sample(*qubo.Compiled) (*anneal.SampleSet, error)
 		} {
 			calls++
-			if !req.Portfolio {
-				t.Error("custom sampler did not see the portfolio bit")
+			if req.Reads != 4 || req.Sweeps != 50 {
+				t.Errorf("custom sampler saw reads=%d sweeps=%d, want 4 and 50", req.Reads, req.Sweeps)
 			}
 			return &anneal.SimulatedAnnealer{Reads: 4, Sweeps: 50, Seed: 1}
 		},
 	}).Handler())
 	t.Cleanup(srv.Close)
-	client := &Client{BaseURL: srv.URL, Reads: 4, Sweeps: 50, Seed: 1, Portfolio: true}
 
-	m := qubo.New(4)
-	for i := 0; i < 4; i++ {
-		m.AddLinear(i, -1)
-	}
-	if _, err := client.Sample(m.Compile()); err != nil {
+	const body = `{"qubo":"qubo 4\nl 0 -1\nl 1 -1\nl 2 -1\nl 3 -1\n","reads":4,"sweeps":50,"seed":1,"portfolio":true}`
+	resp, err := http.Post(srv.URL+"/v1/sample", "application/json", strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
+	}
+	var sr SampleResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(sr.Samples) == 0 {
+		t.Fatalf("sample: status %d, %d samples, decode error %v", resp.StatusCode, len(sr.Samples), err)
 	}
 	if calls != 1 {
 		t.Fatalf("custom sampler calls = %d, want 1", calls)

@@ -8,7 +8,6 @@ import (
 
 	"qsmt/internal/anneal"
 	"qsmt/internal/obs"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -17,7 +16,12 @@ import (
 // looked like. Every successful Result carries one; the same numbers are
 // mirrored into Options.Metrics when set.
 type SolveStats struct {
-	Sampler string // sampler type used for the final attempt
+	// Sampler names what sampled the final attempt: the configured
+	// sampler's type when some plan entry reached the sampler tier, else
+	// "exact" — every entry was solved closed-form or by exact
+	// enumeration, or reused from an incremental session's memo, and a
+	// model that presolve eliminated has no entry at all.
+	Sampler string
 
 	Attempts          int // sampler invocations (1 = first try)
 	Reads             int // total annealer reads consumed across attempts
@@ -52,39 +56,22 @@ type SolveStats struct {
 	WarmHits int
 
 	// Shards is how many connected-component shards the solve's plan
-	// had: 0 for a whole-model solve (sharding not requested, or
-	// requested on a connected model — see ShardFallback). Incremental
-	// solves always plan per component, so a connected model counts 1
-	// there. Result.Shards reports 1 for a whole-model solve.
+	// had: 1 for a connected model, 0 for a model that presolve
+	// eliminated, and 0 for a whole-model solve (a custom Sampler or
+	// Optimize without Options.Shard). Result.Shards reports 1 in both
+	// zero cases.
 	Shards int
 	// ExactShards counts shards solved without the configured sampler:
 	// closed-form (coupler-free) shards plus exhaustively enumerated
 	// small shards.
 	ExactShards int
-	// ShardFallback reports that sharding was requested but the model
-	// did not decompose, so the solve ran on the whole model.
+	// ShardFallback reports that the model was planned by components
+	// but did not decompose: the plan had one shard (a connected model)
+	// or none (presolve eliminated every variable).
 	ShardFallback bool
 	// CacheHits counts compile-cache hits during this solve (whole-model
 	// and per-shard compilations combined).
 	CacheHits int
-
-	// Portfolio scheduler (Options.Portfolio). PortfolioRaces counts
-	// races run during this solve (one per raced shard per attempt;
-	// whole-model attempts never race); PortfolioArmWins
-	// tallies race winners by arm kind (index with portfolio.ArmKind);
-	// PortfolioCancelled counts losing arms cut off mid-run;
-	// PortfolioEarlyStops counts races whose winning annealer arm was
-	// stopped by the adaptive read controller before exhausting its
-	// budget, and PortfolioReadsSaved sums the unspent budget of those
-	// winners in read-equivalents; PortfolioProven counts races settled
-	// by a certified optimum (exact enumeration or a proven lower-bound
-	// hit).
-	PortfolioRaces      int
-	PortfolioArmWins    [portfolio.NumArmKinds]int
-	PortfolioCancelled  int
-	PortfolioEarlyStops int
-	PortfolioReadsSaved int
-	PortfolioProven     int
 
 	// Incremental reports that the solve ran through an
 	// IncrementalSession: components resolved against the session memo,
@@ -141,22 +128,6 @@ func (st *SolveStats) observeKernel(ks anneal.KernelStats) {
 	st.KernelFlips += ks.Flips
 	st.KernelResyncs += ks.Resyncs
 	st.KernelPacked = st.KernelPacked || ks.Packed
-}
-
-// observePortfolio folds one race outcome into the solve totals.
-func (st *SolveStats) observePortfolio(o *portfolio.Outcome) {
-	st.PortfolioRaces++
-	if o.Winner >= 0 && o.Winner < portfolio.NumArmKinds {
-		st.PortfolioArmWins[o.Winner]++
-	}
-	st.PortfolioCancelled += o.Canceled
-	if o.EarlyStopped {
-		st.PortfolioEarlyStops++
-	}
-	st.PortfolioReadsSaved += o.ReadsSaved
-	if o.Proven {
-		st.PortfolioProven++
-	}
 }
 
 // observeBest folds one sample-set best energy into the running minimum.
@@ -244,16 +215,14 @@ type SolverMetrics struct {
 	OptGap          *obs.Histogram // qsmt_opt_bound_gap
 	OptHardWeight   *obs.Gauge     // qsmt_opt_hard_weight
 
-	// Portfolio scheduler. Arm wins are labeled by arm kind so the win
-	// distribution per deployment is visible without re-running the
-	// benchmark; reads-saved divided by qsmt_solve_reads_total is the
-	// budget fraction the adaptive controller returned.
-	PortfolioRaces      *obs.Counter    // qsmt_portfolio_races_total
-	PortfolioArmWins    *obs.CounterVec // qsmt_portfolio_arm_wins_total{arm=...}
-	PortfolioCancels    *obs.Counter    // qsmt_portfolio_cancelled_arms_total
-	PortfolioEarlyStops *obs.Counter    // qsmt_portfolio_early_stops_total
-	PortfolioReadsSaved *obs.Counter    // qsmt_portfolio_reads_saved_total
-	PortfolioProven     *obs.Counter    // qsmt_portfolio_proven_total
+	// Retired with the portfolio race: the solver no longer races, so
+	// these are never registered and stay nil (their nil-safe Value is
+	// 0). They remain declared only because the repository benchmark
+	// (perfbench) still reads them.
+	PortfolioRaces      *obs.Counter
+	PortfolioArmWins    *obs.CounterVec
+	PortfolioCancels    *obs.Counter
+	PortfolioReadsSaved *obs.Counter
 
 	// Substrate kernel. Lane-level work behind every annealing sampler;
 	// the accept-rate histogram divides flips by proposals per solve, the
@@ -294,7 +263,7 @@ func NewSolverMetrics(r *obs.Registry) *SolverMetrics {
 		BatchInFlight:    r.Gauge("qsmt_batch_inflight", "Batch calls currently executing."),
 		Shards:           r.Counter("qsmt_batch_shards_total", "Connected-component shards solved across all sharded solves."),
 		ExactShards:      r.Counter("qsmt_batch_exact_shards_total", "Shards solved closed-form or by exact enumeration instead of the sampler."),
-		ShardFallbacks:   r.Counter("qsmt_batch_shard_fallbacks_total", "Sharding requests that fell back to whole-model solving (connected graph)."),
+		ShardFallbacks:   r.Counter("qsmt_batch_shard_fallbacks_total", "Sharded solves whose model did not decompose (one component, or none left after presolve)."),
 
 		Presolves:          r.Counter("qsmt_presolve_total", "Solves that ran the QUBO presolve stage."),
 		PresolveEliminated: r.Counter("qsmt_presolve_vars_eliminated_total", "Binary variables eliminated by presolve (fixes, pendant folds, merges)."),
@@ -310,13 +279,6 @@ func NewSolverMetrics(r *obs.Registry) *SolverMetrics {
 		IncrementalParentSeeds:    r.Counter("qsmt_incremental_parent_seeds_total", "Sampled components warm-started from the parent frame's witness."),
 		IncrementalPresolveReuses: r.Counter("qsmt_incremental_presolve_reuses_total", "Re-sampled components that reused a memoized component presolve."),
 		IncrementalReuse:          r.Histogram("qsmt_incremental_reuse_ratio", "Fraction of components reused from the memo per incremental solve.", obs.FractionBuckets),
-
-		PortfolioRaces:      r.Counter("qsmt_portfolio_races_total", "Portfolio races run (one per sampled shard per attempt)."),
-		PortfolioArmWins:    r.CounterVec("qsmt_portfolio_arm_wins_total", "Portfolio race wins by arm kind.", "arm"),
-		PortfolioCancels:    r.Counter("qsmt_portfolio_cancelled_arms_total", "Losing portfolio arms cancelled mid-run."),
-		PortfolioEarlyStops: r.Counter("qsmt_portfolio_early_stops_total", "Races whose winning annealer arm was stopped early by the adaptive read controller."),
-		PortfolioReadsSaved: r.Counter("qsmt_portfolio_reads_saved_total", "Unspent annealing budget of early-stopped race winners, in read-equivalents."),
-		PortfolioProven:     r.Counter("qsmt_portfolio_proven_total", "Races settled by a certified optimum (exact enumeration or lower-bound hit)."),
 
 		KernelProposals:    r.Counter("qsmt_kernel_lane_proposals_total", "Lane proposals examined by annealing kernels across all solves."),
 		KernelFlips:        r.Counter("qsmt_kernel_lane_flips_total", "Lane flips accepted by annealing kernels across all solves."),
@@ -385,18 +347,6 @@ func (m *SolverMetrics) record(st *SolveStats, err error) {
 	}
 	if st.ShardFallback {
 		m.ShardFallbacks.Inc()
-	}
-	if st.PortfolioRaces > 0 {
-		m.PortfolioRaces.Add(float64(st.PortfolioRaces))
-		for k, wins := range st.PortfolioArmWins {
-			if wins > 0 {
-				m.PortfolioArmWins.With(portfolio.KindName(portfolio.ArmKind(k))).Add(float64(wins))
-			}
-		}
-		m.PortfolioCancels.Add(float64(st.PortfolioCancelled))
-		m.PortfolioEarlyStops.Add(float64(st.PortfolioEarlyStops))
-		m.PortfolioReadsSaved.Add(float64(st.PortfolioReadsSaved))
-		m.PortfolioProven.Add(float64(st.PortfolioProven))
 	}
 	if st.KernelProposals > 0 {
 		m.KernelProposals.Add(float64(st.KernelProposals))

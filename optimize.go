@@ -336,7 +336,7 @@ func (s *Solver) optimizeContext(ctx context.Context, hard []Constraint, soft []
 	work, red := s.presolveProtected(op.combined, op.protected, st)
 	pl := s.newPlan(work, red, s.opts.Shard, st)
 	st.Compile = time.Since(start) - st.Presolve
-	acc := &gradedIncumbent{pl: op, res: Result{Vars: op.combined.N(), Shards: len(pl.entries)}}
+	acc := &gradedIncumbent{pl: op, res: Result{Vars: op.combined.N(), Shards: max(len(pl.entries), 1)}}
 	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }
 	if err := s.search(ctx, op.hard.Name(), &pl, step, acc, st); err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qsmt/internal/anneal"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -19,8 +18,7 @@ import (
 //
 //   - plan: the presolved working model, split into connected-component
 //     shards or kept whole as a one-entry plan; each entry has a tier —
-//     closed-form, exact enumeration, the configured sampler, or a
-//     portfolio race;
+//     closed-form, exact enumeration, or the configured sampler;
 //   - sampling step: one sample set per plan entry per attempt
 //     (sampleShards, or the incremental session's memo-backed step);
 //   - candidates: shardCandidates merges the entries' rows into
@@ -38,7 +36,6 @@ const (
 	tierClosedForm tier = iota // coupler-free: every variable minimizes its own coefficient
 	tierExact                  // ≤ ExactShardVars variables: exhaustive enumeration
 	tierSampled                // the configured sampler, warm-started when it supports it
-	tierRaced                  // the portfolio race (default sampler only)
 )
 
 // shardPlan is one entry of a plan — a component shard, or the whole
@@ -48,11 +45,10 @@ type shardPlan struct {
 	shard    *qubo.Shard    // nil for the whole-model entry
 	compiled *qubo.Compiled // nil for closed-form entries
 	tier     tier
-	seeds    [][]qubo.Bit // warm-start states for sampled and raced entries
+	seeds    [][]qubo.Bit // warm-start states for sampled entries
 
-	set     *anneal.SampleSet  // this attempt's samples, entry-local
-	outcome *portfolio.Outcome // this attempt's race, when raced
-	err     error
+	set *anneal.SampleSet // this attempt's samples, entry-local
+	err error
 }
 
 // plan is the working model of one search and how its entries are
@@ -60,7 +56,7 @@ type shardPlan struct {
 type plan struct {
 	model   *qubo.Model     // the working model; shard entries partition its variables
 	red     *qubo.Reduction // lifts working-model candidates to the full space; nil is identity
-	entries []shardPlan     // one per shard, or one for the whole model; the count is Result.Shards
+	entries []shardPlan     // one per shard (none when presolve eliminated every variable), or one for the whole model
 	// whole marks a one-entry whole-model plan: its rows are emitted as
 	// sampled — no Scatter (a custom sampler's off-width row must reach
 	// Decode, which rejects it) and no added offset (compiled samples
@@ -74,19 +70,20 @@ type plan struct {
 }
 
 // newPlan plans the working model work, whose candidates red lifts back
-// to the full space. With shard set, a model that splits into several
-// connected components is solved as component shards; otherwise — and
-// for a connected model, recorded as ShardFallback — as one
-// whole-model entry on the configured sampler. The decomposition is
-// exact: no coupler crosses a component boundary, so merging per-shard
-// minima yields a global minimum.
+// to the full space. With shard set, every model is planned by its
+// connected components, each placed by tierOf: a connected model is a
+// one-component plan and a model that presolve reduced to nothing a
+// zero-entry plan, whose one candidate is the empty assignment (both
+// recorded as ShardFallback). The decomposition is exact: no coupler
+// crosses a component boundary, so merging per-shard minima yields a
+// global minimum. Without shard the model is one whole-model entry on
+// the configured sampler.
 func (s *Solver) newPlan(work *qubo.Model, red *qubo.Reduction, shard bool, st *SolveStats) plan {
 	if shard {
-		if shards := qubo.Components(work); len(shards) > 1 {
-			st.Shards = len(shards)
-			return plan{model: work, red: red, entries: s.planShards(shards, st), attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
-		}
-		st.ShardFallback = true
+		shards := qubo.Components(work)
+		st.Shards = len(shards)
+		st.ShardFallback = len(shards) <= 1
+		return plan{model: work, red: red, entries: s.planShards(shards, st), attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
 	}
 	compiled := s.compileModel(work, st)
 	var seeds [][]qubo.Bit
@@ -108,7 +105,7 @@ func (s *Solver) wholePlan(work *qubo.Model, red *qubo.Reduction, compiled *qubo
 
 // planShards places the component shards of a model on their tiers,
 // compiling every coupled shard and deriving warm-start states for the
-// sampled and raced ones.
+// sampled ones.
 func (s *Solver) planShards(shards []qubo.Shard, st *SolveStats) []shardPlan {
 	plans := make([]shardPlan, len(shards))
 	for i := range shards {
@@ -129,46 +126,34 @@ func (s *Solver) planShards(shards []qubo.Shard, st *SolveStats) []shardPlan {
 	return plans
 }
 
-// tierOf places a coupled entry: exact enumeration when it fits
-// ExactShardVars, else the portfolio race or the configured sampler.
+// tierOf is the static tier rule for a coupled entry (coupler-free
+// entries are closed-form and never compiled): exact enumeration at
+// ExactShardVars variables or fewer, else the configured sampler.
 func (s *Solver) tierOf(compiled *qubo.Compiled) tier {
-	switch {
-	case s.opts.ExactShardVars > 0 && compiled.N <= s.opts.ExactShardVars:
+	if compiled.N <= s.opts.ExactShardVars {
 		return tierExact
-	case s.portfolioShards():
-		return tierRaced
 	}
 	return tierSampled
 }
 
 // sampleEntry solves one entry for one attempt through its tier, writing
-// the entry's set, outcome and err. It touches no shared state, so
-// entries may be sampled concurrently.
+// the entry's set and err. It touches no shared state, so entries may
+// be sampled concurrently.
 func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal int) {
-	p.outcome = nil
 	switch p.tier {
 	case tierClosedForm:
 		p.set, p.err = solveLinearShard(p.shard.Model, s.opts.Seed, attempt, ordinal), nil
 	case tierExact:
-		// One enumeration worker: an entry of ≤ ExactShardVars variables
-		// enumerates faster than goroutines start.
+		// One enumeration worker: the call holds one batch-gate slot, and
+		// DefaultExactShardVars is the crossover measured single-worker.
 		p.set, p.err = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt, Workers: 1}, p.compiled)
-	case tierRaced:
-		p.outcome, p.err = s.racePortfolio(ctx, p.compiled, p.seeds, attempt, ordinal)
-		if p.err == nil {
-			p.set = p.outcome.Set
-		}
 	default:
 		p.set, p.err = s.sample(ctx, warmSampler(s.samplerFor(attempt), p.seeds), p.compiled)
 	}
 }
 
-// observeEntry folds one sampled entry's race outcome and warm-start
-// result into st.
+// observeEntry folds one sampled entry's warm-start result into st.
 func (st *SolveStats) observeEntry(p *shardPlan) {
-	if p.outcome != nil {
-		st.observePortfolio(p.outcome)
-	}
 	if len(p.seeds) > 0 {
 		st.WarmSeeded++
 		if p.set.Len() > 0 && p.set.Best().Warm {
@@ -178,8 +163,8 @@ func (st *SolveStats) observeEntry(p *shardPlan) {
 }
 
 // sampleShards is the sampling step of a planned search: closed-form and
-// exact entries and the first sampled one run inline, further sampled or
-// raced entries concurrently, one goroutine each. Every sampling call
+// exact entries and the first sampled one run inline, further sampled
+// entries concurrently, one goroutine each. Every sampling call
 // acquires a batch-gate slot of its own (when one is installed), so the
 // fan-out of many batched constraints still respects the global worker
 // bound. The returned error names the failing shard.
@@ -187,7 +172,7 @@ func (s *Solver) sampleShards(ctx context.Context, pl *plan, attempt int, st *So
 	var wg *sync.WaitGroup // allocated only when a goroutine starts
 	inline := -1
 	for i := range pl.entries {
-		if p := &pl.entries[i]; p.tier >= tierSampled {
+		if p := &pl.entries[i]; p.tier == tierSampled {
 			if inline < 0 {
 				inline = i
 				continue
@@ -203,7 +188,7 @@ func (s *Solver) sampleShards(ctx context.Context, pl *plan, attempt int, st *So
 		}
 	}
 	for i := range pl.entries {
-		if p := &pl.entries[i]; p.tier < tierSampled || i == inline {
+		if p := &pl.entries[i]; p.tier != tierSampled || i == inline {
 			s.sampleEntry(ctx, p, attempt, i)
 		}
 	}
@@ -280,14 +265,12 @@ type acceptor interface {
 // or the plan's attempt budget runs out. The context is checked before
 // every attempt and threaded into every sampling call.
 func (s *Solver) search(ctx context.Context, name string, pl *plan, step func(attempt int) error, acc acceptor, st *SolveStats) error {
-	label := s.samplerLabel(pl)
 	var lastCheck error
 	for attempt := 0; attempt < pl.attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("qsmt: solving %s: %w", name, err)
 		}
 		st.Attempts = attempt + 1
-		st.Sampler = label
 		// Sample counts sampler time only: stages the step runs itself
 		// (the incremental path's component presolve and compile) keep
 		// their own phases.
@@ -297,6 +280,7 @@ func (s *Solver) search(ctx context.Context, name string, pl *plan, step func(at
 		if err != nil {
 			return fmt.Errorf("qsmt: sampling %s: %w", name, err)
 		}
+		st.Sampler = s.samplerLabel(pl)
 		rows := pl.aggregate(st)
 		if rows == 0 {
 			// A (custom) sampler returned an empty set for some entry;
@@ -345,16 +329,19 @@ func (s *Solver) search(ctx context.Context, name string, pl *plan, step func(at
 	return ErrNoModel
 }
 
-// samplerLabel names what samples a plan's attempts for SolveStats: the
-// portfolio scheduler when shards race, else the configured sampler.
+// samplerLabel names what sampled a plan's attempt for SolveStats: the
+// configured sampler when some entry reached the sampler tier in this
+// attempt, else "exact".
 func (s *Solver) samplerLabel(pl *plan) string {
-	switch {
-	case !pl.whole && s.portfolioShards():
-		return "portfolio"
-	case s.opts.Sampler == nil:
-		return "SimulatedAnnealer"
+	for i := range pl.entries {
+		if pl.entries[i].tier == tierSampled {
+			if s.opts.Sampler == nil {
+				return "SimulatedAnnealer"
+			}
+			return samplerName(s.opts.Sampler)
+		}
 	}
-	return samplerName(s.opts.Sampler)
+	return "exact"
 }
 
 // firstVerified accepts the first candidate whose decoded witness passes

@@ -69,7 +69,7 @@ func TestSearchCountsReadsPastAnEmptyShard(t *testing.T) {
 // sampling operation. The old whole-model optimize loop counted
 // WarmSeeded but never WarmHits, reporting 0/4 on this case.
 func TestOptimizeWholeModelCountsWarmHits(t *testing.T) {
-	s := NewSolver(&Options{Seed: 7, Portfolio: Off})
+	s := NewSolver(&Options{Seed: 7})
 	res, err := s.Optimize(
 		[]Constraint{CharAt('a', 0, 3)},
 		[]SoftConstraint{Soft(MinLength(3), 2), Soft(CharAt('z', 1, 3), 0.5)})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"qsmt/internal/anneal"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -60,11 +59,11 @@ func (t Toggle) enabled(def bool) bool {
 // on each field.
 type Options struct {
 	// Sampler minimizes the QUBOs. Default: a SimulatedAnnealer with
-	// 64 reads and 1000 sweeps — the neal-equivalent configuration the
-	// paper evaluates on. Solve runs it only on connected models; the
-	// shards that the closed-form and exact tiers cannot take are raced
-	// by the portfolio instead (see SolveContext and Portfolio). Setting
-	// a Sampler makes Solve anneal the whole model unless Shard is set.
+	// 64 reads and 1000 sweeps, warm-started — the neal-equivalent
+	// configuration the paper evaluates on. With the default, Solve and
+	// SolveBatch run it only on the components that the closed-form and
+	// exact tiers cannot take (see SolveContext). Setting a Sampler makes
+	// Solve anneal the whole model unless Shard is set.
 	Sampler Sampler
 	// MaxAttempts bounds the verify-retry loop: after a failed
 	// verification the solver re-anneals with a fresh seed. Default 4.
@@ -85,13 +84,12 @@ type Options struct {
 	// plan: the presolved model is decomposed into the connected
 	// components of its QUBO variable-interaction graph and the
 	// components are solved as independent shards, merging the shard
-	// assignments back into one witness. Coupler-free shards are solved
-	// closed-form and shards of ≤ ExactShardVars variables by exact
-	// enumeration; the rest go to the sampler (raced by the portfolio
-	// when no custom Sampler is set). Falls back to whole-model solving
-	// when the graph is connected. Solve and SolveBatch with the default
-	// sampler always run the tier plan; Optimize shards only when Shard
-	// is set.
+	// assignments back into one witness. One static rule places every
+	// shard: coupler-free shards are solved closed-form, shards of
+	// ≤ ExactShardVars variables by exact enumeration, the rest by the
+	// sampler. A connected model is a one-shard plan under the same
+	// rule. Solve with the default sampler and every SolveBatch run the
+	// tier plan; Optimize shards only when Shard is set.
 	Shard bool
 	// BatchWorkers bounds concurrent sampling operations (shard or
 	// whole-model) across a SolveBatch/EnumerateBatch call. Default
@@ -106,9 +104,9 @@ type Options struct {
 	CompileCache *qubo.Cache
 	// ExactShardVars is the shard size (in binary variables) at or below
 	// which a sharded solve enumerates the shard exhaustively instead of
-	// sampling it — exact, deterministic, and far cheaper than annealer
-	// reads at these sizes. Default 12; negative disables exact shard
-	// solving. Values above anneal.MaxExactVars are clamped.
+	// sampling it — exact, deterministic, and cheaper than 64×1000
+	// annealer reads at these sizes. Default 16; negative disables exact
+	// shard solving. Values above anneal.MaxExactVars are clamped.
 	ExactShardVars int
 	// Presolve controls the QUBO presolve stage (qubo.Presolve) that runs
 	// between model construction and compilation: persistency fixing,
@@ -127,20 +125,6 @@ type Options struct {
 	// (remote clients, custom samplers) are used unchanged. Off restores
 	// today's behavior bit for bit. Never applies to Enumerate.
 	WarmStart Toggle
-	// Portfolio controls the per-shard portfolio scheduler
-	// (internal/portfolio): each sampled shard races exact enumeration,
-	// adaptive packed annealing (warm and cold), greedy descent and
-	// staggered backup arms under one context, and the first decisive
-	// finisher cancels the rest. On by default (On is the same as the
-	// default) for the shards of the sharded sat, optimize and
-	// incremental paths; whole-model solves of connected models always
-	// run the sequential sampler. Only applies when no custom Sampler is
-	// set — remote clients and test samplers keep the sequential path
-	// (the remote job path has its own server-side portfolio flag).
-	// Racing preserves verdicts but trades run-to-run witness determinism
-	// for latency: the winning arm depends on scheduling, so Off restores
-	// the fully deterministic sequential tier path.
-	Portfolio Toggle
 	// HardWeight overrides the automatic weight-gap scaling of
 	// Solver.Optimize: the multiplier M applied to every hard-constraint
 	// penalty before soft objective terms are layered on. 0 (the
@@ -195,10 +179,12 @@ func NewSolver(opts *Options) *Solver {
 	return s
 }
 
-// DefaultExactShardVars is the default Options.ExactShardVars: 2^12
-// states enumerate in microseconds, far below the cost of one sampler
-// invocation.
-const DefaultExactShardVars = 12
+// DefaultExactShardVars is the default Options.ExactShardVars, the
+// measured crossover of single-worker enumeration and the default
+// 64×1000 annealer on random QUBOs (BenchmarkTierCrossover,
+// EXPERIMENTS.md): at 16 variables enumeration costs about half an
+// anneal, at 18 already more than a whole one.
+const DefaultExactShardVars = 16
 
 // compileModel compiles through the configured cache (straight through
 // when none is set) and tracks cache hits in the solve stats.
@@ -260,7 +246,7 @@ func (s *Solver) Solve(c Constraint) (*Result, error) {
 // model is presolved first; with the default sampler (or Options.Shard)
 // it is then solved by the shard tier plan — coupler-free components
 // closed-form, components of ≤ ExactShardVars variables by exact
-// enumeration, larger ones sampled or raced — and a connected model
+// enumeration, larger ones by the configured sampler — and otherwise
 // whole by the configured sampler. The context is threaded
 // into every sampling call: context-aware samplers (all module samplers
 // and the remote client) abort mid-run, so a deadline bounds the whole
@@ -399,42 +385,6 @@ func (s *Solver) warmable() bool {
 	return s.opts.Sampler == nil || supportsWarmStart(s.opts.Sampler)
 }
 
-// portfolioShards reports whether sharded sampling should race the
-// portfolio arms: on unless Options.Portfolio is Off, and only when the
-// solver runs the default annealer — a custom Sampler (remote client,
-// test double) keeps the sequential path.
-func (s *Solver) portfolioShards() bool {
-	return s.opts.Portfolio.enabled(true) && s.opts.Sampler == nil
-}
-
-// portfolioShardStride decorrelates per-shard race seeds within one
-// attempt (the attempt stride is the solver's usual 1_000_003).
-const portfolioShardStride = 7_368_787
-
-// racePortfolio runs one portfolio race on a compiled model. The race
-// counts as one sampling operation against the batch gate: its arms run
-// concurrently inside the slot, and losers are cancelled as soon as the
-// race settles, so a healthy race's CPU cost stays near one arm's.
-func (s *Solver) racePortfolio(ctx context.Context, compiled *qubo.Compiled, seeds [][]qubo.Bit, attempt, shard int) (*portfolio.Outcome, error) {
-	if s.gate != nil {
-		select {
-		case s.gate <- struct{}{}:
-			defer func() { <-s.gate }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	arms, _ := portfolio.BuildArms(portfolio.Config{
-		Compiled:   compiled,
-		Reads:      64,
-		Sweeps:     1000,
-		Seed:       s.opts.Seed + int64(attempt)*1_000_003 + int64(shard)*portfolioShardStride,
-		Seeds:      seeds,
-		Candidates: s.opts.CandidatesPerAttempt,
-	})
-	return portfolio.Race(ctx, arms)
-}
-
 // tierPlan reports whether Solve runs the shard tier plan: always with
 // the default sampler, and with a custom Sampler when Options.Shard opts
 // in.
@@ -454,7 +404,7 @@ func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats)
 	work, red := s.presolve(model, st)
 	pl := s.newPlan(work, red, s.tierPlan(), st)
 	st.Compile = time.Since(start) - st.Presolve
-	acc := &firstVerified{c: c, res: Result{Vars: model.N(), Shards: len(pl.entries)}}
+	acc := &firstVerified{c: c, res: Result{Vars: model.N(), Shards: max(len(pl.entries), 1)}}
 	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }
 	if err := s.search(ctx, c.Name(), &pl, step, acc, st); err != nil {
 		return nil, err

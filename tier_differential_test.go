@@ -28,7 +28,8 @@ func verdictClass(err error) string {
 
 // tierDifferentialCases draws one instance of every harness.Workload
 // family and every extension family at each length 4–8, plus
-// conjunctions the oracle proves unsatisfiable.
+// conjunctions the oracle proves unsatisfiable, the Table 1 rows, and
+// 40 randomized Includes instances over {a, b}, satisfiable or not.
 func tierDifferentialCases() []qsmt.Constraint {
 	w := harness.NewWorkload(13)
 	rng := rand.New(rand.NewSource(13))
@@ -55,14 +56,34 @@ func tierDifferentialCases() []qsmt.Constraint {
 			qsmt.And(qsmt.Palindrome(n), qsmt.CharAt(a, 0, n), qsmt.CharAt(b, n-1, n)),
 		)
 	}
+	cs = append(cs,
+		qsmt.Reverse("hello"),
+		qsmt.Palindrome(6),
+		qsmt.Regex("a[bc]+", 5),
+		qsmt.Concat("hello", " world"),
+		qsmt.IndexOf("hi", 2, 6),
+	)
+	ab := rand.New(rand.NewSource(47))
+	word := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ab"[ab.Intn(2)]
+		}
+		return string(b)
+	}
+	for trial := 0; trial < 40; trial++ {
+		hay := word(ab.Intn(6))
+		cs = append(cs, qsmt.Includes(hay, word(ab.Intn(3))))
+	}
 	return cs
 }
 
 // TestTierPlanDifferential pits the default Solve (shard tier plan)
 // against an explicit whole-model simulated annealer on every family:
 // both must reach the same verdict class, agree with the CP oracle's
-// label, and return checked witnesses. Regex is the exception on the
-// verdict class: its averaged class encoding leaves free bits whose
+// label, and return checked witnesses, and the tier plan must solve
+// every oracle-sat instance. Regex is the exception on the verdict
+// class: its averaged class encoding leaves free bits whose
 // combinations the whole-model annealer and the cross-product draws
 // explore differently, so only its witnesses are pinned.
 func TestTierPlanDifferential(t *testing.T) {
@@ -91,6 +112,9 @@ func TestTierPlanDifferential(t *testing.T) {
 		}
 		if c.Name() == "regex" {
 			continue
+		}
+		if got != "sat" && label == "sat" {
+			t.Errorf("%s: tiered %s on an oracle-sat instance", name, got)
 		}
 		_, werr := whole.Solve(c)
 		if want := verdictClass(werr); got != want {

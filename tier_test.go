@@ -107,7 +107,7 @@ func TestShardCandidatesCrossGroundManifolds(t *testing.T) {
 		model.AddLinear(b, -1)
 		model.AddQuadratic(a, b, 2)
 	}
-	s := NewSolver(&Options{Seed: 3, Portfolio: Off})
+	s := NewSolver(&Options{Seed: 3})
 	pl, maxLen := planAndSample(t, s, model)
 	xs, es := drain(newShardCandidates(pl, maxLen, 3, 0))
 	if len(xs) != 16 {
@@ -190,5 +190,96 @@ func TestExactTieAvoidComponent(t *testing.T) {
 		if err := c.Check(res.Witness); err != nil {
 			t.Errorf("seed %d: witness %q fails Check: %v", seed, res.Witness.Str, err)
 		}
+	}
+}
+
+// The tier rule places a connected model like any shard: Includes'
+// one-hot position selectors couple into one 4-variable component,
+// which is enumerated, not annealed at 64×1000.
+func TestTierRuleEnumeratesConnectedModel(t *testing.T) {
+	res, err := NewSolver(nil).Solve(Includes("hello", "ll"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Witness.Index != 2 {
+		t.Errorf("witness index %d, want 2", res.Witness.Index)
+	}
+	st := res.Stats
+	if st.KernelProposals != 0 || st.ExactShards != 1 || st.Shards != 1 || !st.ShardFallback {
+		t.Errorf("connected model: proposals %d, exact shards %d of %d, fallback %v; want 0, 1 of 1, true",
+			st.KernelProposals, st.ExactShards, st.Shards, st.ShardFallback)
+	}
+}
+
+// A model that presolve reduces to nothing is a zero-entry plan: its one
+// candidate is the empty assignment, lifted, and no sampler runs.
+func TestTierRuleEmptyPlanRunsNoSampler(t *testing.T) {
+	res, err := NewSolver(nil).Solve(Equality("hi"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Witness.Str != "hi" {
+		t.Errorf("witness %q, want \"hi\"", res.Witness.Str)
+	}
+	if res.Stats.Reads != 0 || res.Stats.KernelProposals != 0 {
+		t.Errorf("reads %d, proposals %d; want none", res.Stats.Reads, res.Stats.KernelProposals)
+	}
+	if res.Shards != 1 {
+		t.Errorf("Result.Shards = %d, want 1", res.Shards)
+	}
+}
+
+// ExactShardVars defaults to 16, so the 16-variable shard of
+// And(Periodic(2,8), Palindrome(8)) is enumerated with the five 8-variable
+// ones: no shard reaches the annealer.
+func TestTierRuleEnumeratesSixteenVariableShard(t *testing.T) {
+	c := And(Periodic(2, 8), Palindrome(8))
+	model, err := c.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for _, sh := range qubo.Components(qubo.Presolve(model).Model) {
+		largest = max(largest, sh.Model.N())
+	}
+	if largest != 16 {
+		t.Fatalf("largest presolved component has %d variables, want 16", largest)
+	}
+	res, err := NewSolver(nil).Solve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.ExactShards != res.Shards || st.KernelProposals != 0 {
+		t.Errorf("%d of %d shards exact, %d kernel proposals; want every shard exact and none",
+			st.ExactShards, res.Shards, st.KernelProposals)
+	}
+}
+
+// SolveStats.Sampler names the configured sampler only when some plan
+// entry reached the sampler tier. Plans solved entirely closed-form or
+// by enumeration, including a zero-entry plan, report "exact".
+func TestTierRuleSamplerLabel(t *testing.T) {
+	for _, tc := range []struct {
+		c    Constraint
+		want string
+	}{
+		{Palindrome(4), "exact"},
+		{Equality("hi"), "exact"},
+		{And(Periodic(2, 10), Palindrome(10)), "SimulatedAnnealer"}, // one 20-variable shard
+	} {
+		res, err := NewSolver(nil).Solve(tc.c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.c.Name(), err)
+		}
+		if got := res.Stats.Sampler; got != tc.want {
+			t.Errorf("%s: Stats.Sampler = %q, want %q (reads %d)", tc.c.Name(), got, tc.want, res.Stats.Reads)
+		}
+	}
+	res, err := NewSolver(&Options{Sampler: &anneal.SimulatedAnnealer{Reads: 8, Sweeps: 100, Seed: 1}}).Solve(Palindrome(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.Sampler; got != "SimulatedAnnealer" {
+		t.Errorf("custom whole-model sampler: Stats.Sampler = %q, want SimulatedAnnealer", got)
 	}
 }
