@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt incrsmoke optsmoke tiersmoke searchsmoke perfbench perfbenchcheck fuzz
+.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchincr benchservice servicesmoke incrsmoke optsmoke tiersmoke searchsmoke perfbench perfbenchcheck fuzz
 
 ## check: the CI gate — build, vet, race-checked tests, a 1-iteration
-## benchmark smoke pass, the presolve ablation numbers, the incremental
-## push/pop smoke suite, the optimize-mode smoke suite, the service-layer
-## race gate + load benchmark, and a short fuzz smoke of the SMT-LIB
-## front end (includes the remote fault-injection suite in
-## internal/remote, the root-package context/failover acceptance tests,
-## and — under -race — the batch/shard/cache concurrency suite), plus
-## the tier-rule gate of the default Solve, the gate of the shared
-## search loop, and the vet and tests of the repository benchmark.
-check: build vet race benchsmoke benchpresolve incrsmoke optsmoke tiersmoke searchsmoke raceservice benchservice perfbenchcheck fuzz
+## benchmark smoke pass, the incremental push/pop smoke suite, the
+## optimize-mode smoke suite, the service-layer race gate + load run,
+## and a short fuzz smoke of the SMT-LIB front end (includes the remote
+## fault-injection suite in internal/remote, the root-package
+## context/failover acceptance tests, and — under -race — the
+## batch/shard/cache concurrency suite), plus the tier-rule gate of the
+## default Solve, the gate of the shared search loop, and the vet and
+## tests of the repository benchmark. It rewrites no committed file.
+check: build vet race benchsmoke incrsmoke optsmoke tiersmoke searchsmoke raceservice servicesmoke perfbenchcheck fuzz
 
 build:
 	$(GO) build ./...
@@ -82,14 +82,6 @@ benchbatch:
 		| $(GO) run ./cmd/benchjson -o BENCH_batch.json
 	@cat BENCH_batch.json
 
-## benchpresolve: the presolve acceptance numbers — every Table 1 row
-## solved with the presolve + warm-start stages on vs off, plus the
-## per-row reduction ratios, recorded as BENCH_presolve.json.
-benchpresolve:
-	$(GO) test -run '^$$' -bench 'BenchmarkPresolve' -benchtime=3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_presolve.json
-	@cat BENCH_presolve.json
-
 ## benchincr: the incremental-solving acceptance numbers — a DFS over a
 ## branching path condition driven cold (full re-solve per check-sat)
 ## vs through the incremental session (component memo + parent-witness
@@ -109,16 +101,11 @@ benchincr:
 benchservice:
 	$(GO) run ./cmd/loadgen -duration 5s -out BENCH_service.json
 
-## benchopt: the optimize-mode acceptance numbers — representative
-## MaxSAT/OMT instances (shortest string, fewest edits, weighted soft
-## mix) solved cold (presolve + warm starts off) vs warm (the
-## defaults), recorded as BENCH_opt.json. Each row also reports the
-## achieved theory objective so a landscape regression (optimal drifting
-## upward) shows up in the artifact, not just the timings.
-benchopt:
-	$(GO) test -run '^$$' -bench 'BenchmarkOptimize' -benchtime=3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_opt.json
-	@cat BENCH_opt.json
+## servicesmoke: the benchservice load run as a CI smoke — the same
+## loadgen flow, its report written to a temp file so `make check`
+## leaves the committed BENCH_service.json alone.
+servicesmoke:
+	out=$$(mktemp) && $(GO) run ./cmd/loadgen -duration 5s -out $$out; status=$$?; rm -f $$out; exit $$status
 
 ## optsmoke: the focused optimize gate — the brute-force differential
 ## suite, hard-constraint inviolability under adversarial weights, the
@@ -162,7 +149,7 @@ perfbenchcheck:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## incrsmoke: the focused incremental gate — scope-leak regressions,
-## the incremental session tests, the presolve/cache isolation audit,
+## the incremental session tests, the raw/presolved compile-cache audit,
 ## and the plain-vs-incremental differential suite, with -race over the
 ## concurrent session and interpreter tests.
 incrsmoke:

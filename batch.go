@@ -35,12 +35,13 @@ type BatchResult struct {
 }
 
 // SolveBatch solves many independent constraints concurrently: every
-// constraint runs the full SMT loop (with sharding enabled — see
-// Options.Shard) and at most Options.BatchWorkers sampling operations
-// are in flight at once across the whole batch. Per-constraint failures
-// do not abort the batch; they are reported per item. The returned
-// error is non-nil only when ctx ended before the batch completed (the
-// per-item errors then say which constraints were cut short).
+// constraint runs the full SMT loop on the shard tier plan, whatever the
+// sampler (see SolveContext), and at most Options.BatchWorkers sampling
+// operations are in flight at once across the whole batch.
+// Per-constraint failures do not abort the batch; they are reported per
+// item. The returned error is non-nil only when ctx ended before the
+// batch completed (the per-item errors then say which constraints were
+// cut short).
 //
 // The Solver's Sampler must be safe for concurrent use (all module
 // samplers and the remote client/pool are); a remote.Pool sampler makes
@@ -101,13 +102,19 @@ func (s *Solver) EnumerateBatch(ctx context.Context, cs []Constraint, k int) ([]
 	return items, ctx.Err()
 }
 
-// fanOut runs solve for every constraint index concurrently on one
-// batch solver (see batchSolver), with the batch counted in flight.
+// fanOut runs solve for every constraint index concurrently, with the
+// batch counted in flight, on one batch copy of s: its worker gate
+// bounds concurrent sampling and puts every solve of the batch on the
+// shard tier plan (see newPlan).
 func (s *Solver) fanOut(n int, solve func(batched *Solver, i int)) {
 	m := s.opts.Metrics
 	m.batchInFlight(1)
 	defer m.batchInFlight(-1)
-	batched := s.batchSolver()
+	workers := s.opts.BatchWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	batched := &Solver{opts: s.opts, gate: make(chan struct{}, workers)}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -117,17 +124,4 @@ func (s *Solver) fanOut(n int, solve func(batched *Solver, i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// batchSolver returns a copy of s configured for batch execution:
-// sharding on and a worker gate bounding concurrent sampling.
-func (s *Solver) batchSolver() *Solver {
-	cp := &Solver{opts: s.opts}
-	cp.opts.Shard = true
-	workers := cp.opts.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cp.gate = make(chan struct{}, workers)
-	return cp
 }

@@ -6,19 +6,21 @@ import (
 	"strings"
 	"testing"
 
+	"qsmt/internal/anneal"
 	"qsmt/internal/obs"
 	"qsmt/internal/qubo"
 )
 
-// The acceptance property for sharding: a decomposable conjunction must
-// solve as ≥ 2 independent shards and produce the exact witness the
-// whole-model path produces. And(Equality, Palindrome) decomposes into
-// per-bit mirror pairs — the equality terms are diagonal and the only
-// couplers join bit j of position i to bit j of position n-1-i.
+// The acceptance property for sharding: a decomposable model must solve
+// as ≥ 2 independent shards at the ground energy the whole-model path
+// reaches. AvoidChars("tt", 6) survives presolve untouched and falls
+// apart into six coupled 12-variable components, one per character, so
+// the default Solve enumerates each exactly; a custom sampler keeps the
+// whole model.
 func TestShardedMatchesWholeModel(t *testing.T) {
-	c := And(Equality("abba"), Palindrome(4))
+	c := AvoidChars([]byte("tt"), 6)
 
-	whole := NewSolver(&Options{Seed: 5})
+	whole := NewSolver(&Options{Seed: 5, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000, Seed: 5}})
 	wres, err := whole.Solve(c)
 	if err != nil {
 		t.Fatalf("whole-model solve: %v", err)
@@ -26,31 +28,28 @@ func TestShardedMatchesWholeModel(t *testing.T) {
 	if wres.Shards != 1 || wres.Stats.Shards != 0 {
 		t.Fatalf("whole-model result claims sharding: Shards=%d Stats.Shards=%d", wres.Shards, wres.Stats.Shards)
 	}
+	if wres.Stats.PresolveEliminated != 0 {
+		t.Fatalf("presolve eliminated %d variables; the whole-model reference must be unreduced", wres.Stats.PresolveEliminated)
+	}
 
-	// Presolve off: it fixes this conjunction outright (the equality
-	// fields dominate every mirror coupler), which would leave nothing
-	// for the shard machinery this test exercises.
-	sharded := NewSolver(&Options{Seed: 5, Shard: true, Presolve: Off})
+	sharded := NewSolver(&Options{Seed: 5})
 	sres, err := sharded.Solve(c)
 	if err != nil {
 		t.Fatalf("sharded solve: %v", err)
 	}
-	if sres.Shards < 2 {
-		t.Fatalf("conjunction solved as %d shards, want >= 2", sres.Shards)
+	if sres.Shards != 6 {
+		t.Fatalf("AvoidChars solved as %d shards, want 6", sres.Shards)
 	}
-	if sres.Witness.Str != wres.Witness.Str {
-		t.Fatalf("sharded witness %q != whole-model witness %q", sres.Witness.Str, wres.Witness.Str)
+	if err := c.Check(sres.Witness); err != nil {
+		t.Fatalf("sharded witness %q fails Check: %v", sres.Witness.Str, err)
 	}
-	if sres.Witness.Str != "abba" {
-		t.Fatalf("witness = %q, want \"abba\"", sres.Witness.Str)
-	}
-	// The ground energies must agree too: energy is additive over
+	// The ground energies must agree: energy is additive over
 	// components, so the merged energy is an exact whole-model energy.
 	if diff := sres.Energy - wres.Energy; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("sharded energy %g != whole-model energy %g", sres.Energy, wres.Energy)
 	}
-	if sres.Stats.ExactShards == 0 {
-		t.Error("two-variable shards were not solved exactly")
+	if sres.Stats.ExactShards != 6 {
+		t.Errorf("%d of 6 twelve-variable shards solved exactly", sres.Stats.ExactShards)
 	}
 	if sres.Stats.ShardFallback {
 		t.Error("sharded solve reported a whole-model fallback")
@@ -61,7 +60,7 @@ func TestShardedMatchesWholeModel(t *testing.T) {
 // and say so. Includes one-hot-couples all its position selectors, so
 // its graph is connected.
 func TestShardFallbackOnConnectedModel(t *testing.T) {
-	s := NewSolver(&Options{Seed: 3, Shard: true})
+	s := NewSolver(&Options{Seed: 3})
 	res, err := s.Solve(Includes("abcabc", "ca"))
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -81,7 +80,7 @@ func TestShardFallbackOnConnectedModel(t *testing.T) {
 // its own component, all small enough for exact enumeration, and the
 // merged witness must still verify.
 func TestShardedPalindrome(t *testing.T) {
-	s := NewSolver(&Options{Seed: 11, Shard: true})
+	s := NewSolver(&Options{Seed: 11})
 	res, err := s.Solve(Palindrome(6))
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -214,23 +213,20 @@ func TestSolveBatchCancelled(t *testing.T) {
 }
 
 // Repeated constraints in one batch must hit the compile cache: every
-// palindrome decomposes into identical two-variable mirror shards, so
-// after the first compile the rest are hits.
+// AvoidChars("tt", 6) decomposes into six identical 12-variable shards
+// that presolve leaves coupled, so after the first compile the rest are
+// hits.
 func TestSolveBatchCompileCache(t *testing.T) {
 	cache := qubo.NewCache(32)
 	reg := obs.NewRegistry()
-	// Presolve off: it merges Palindrome's mirror pairs into coupler-free
-	// shards that solve closed-form without ever compiling, leaving the
-	// cache this test exercises untouched.
 	s := NewSolver(&Options{
 		Seed:         7,
 		CompileCache: cache,
 		Metrics:      NewSolverMetrics(reg),
-		Presolve:     Off,
 	})
 	cs := make([]Constraint, 8)
 	for i := range cs {
-		cs[i] = Palindrome(4)
+		cs[i] = AvoidChars([]byte("tt"), 6)
 	}
 	br, err := s.SolveBatch(context.Background(), cs)
 	if err != nil {

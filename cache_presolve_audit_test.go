@@ -2,27 +2,29 @@ package qsmt
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"qsmt/internal/anneal"
 	"qsmt/internal/qubo"
 )
 
-// These tests audit the compile cache against presolve cross-poisoning:
-// a Compiled produced under Presolve: On must never be served to a
-// Presolve: Off solve (or vice versa) through Solve or SolveBatch. The
-// cache key is the model's canonical content fingerprint, and presolve
-// rewrites the model's content before compilation, so the two paths key
-// under different fingerprints whenever presolve changed anything — and
-// when it changed nothing, sharing the entry is exactly correct. The
-// tests pin both halves of that argument: bit-identical results against
-// cache-free references, and zero cache hits across the On/Off boundary
-// on a model presolve demonstrably reduces.
+// These tests audit the compile cache at the one boundary where entry
+// points compile different models for the same constraint: Enumerate
+// and EnumerateBatch compile the raw model (enumeration runs without
+// presolve), Solve and SolveBatch the presolved one. A Compiled of one
+// side must never be served to the other. The cache key is the model's
+// canonical content fingerprint, and presolve rewrites the model's
+// content before compilation, so the two sides key under different
+// fingerprints whenever presolve changed anything — and when it changed
+// nothing, sharing the entry is exactly correct. The tests pin both
+// halves of that argument: results identical to cache-free references,
+// and zero cache hits across the boundary on models presolve
+// demonstrably reduces.
 
-func auditSolver(presolve Toggle, cache *qubo.Cache, seed int64) *Solver {
+func auditSolver(cache *qubo.Cache) *Solver {
 	return NewSolver(&Options{
-		Sampler:      &anneal.SimulatedAnnealer{Reads: 32, Sweeps: 800, Seed: seed},
-		Presolve:     presolve,
+		Sampler:      &anneal.SimulatedAnnealer{Reads: 32, Sweeps: 800, Seed: 9},
 		CompileCache: cache,
 	})
 }
@@ -30,106 +32,133 @@ func auditSolver(presolve Toggle, cache *qubo.Cache, seed int64) *Solver {
 func TestCacheNeverServesPresolvedToPresolveOff(t *testing.T) {
 	c := Palindrome(8)
 
-	// Cache-free reference for the Off path.
-	refRes, err := auditSolver(Off, nil, 9).Solve(c)
+	// Cache-free reference for the raw-model side.
+	ref, err := auditSolver(nil).Enumerate(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := qubo.NewCache(64)
-	onRes, err := auditSolver(On, cache, 9).Solve(c)
+	res, err := auditSolver(cache).Solve(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The audit only bites when presolve actually rewrote the model; the
 	// palindrome's per-bit equality gadget guarantees it does.
-	if onRes.Stats.PresolveEliminated == 0 {
+	if res.Stats.PresolveEliminated == 0 {
 		t.Fatal("presolve eliminated nothing; pick a reducing model for this audit")
 	}
 
-	offRes, err := auditSolver(Off, cache, 9).Solve(c)
+	before := cache.Stats().Hits
+	got, err := auditSolver(cache).Enumerate(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offRes.Stats.CacheHits != 0 {
-		t.Errorf("Presolve: Off solve took %d cache hits from a cache warmed by Presolve: On", offRes.Stats.CacheHits)
+	if hits := cache.Stats().Hits - before; hits != 0 {
+		t.Errorf("Enumerate took %d cache hits from a cache warmed by the presolved Solve", hits)
 	}
-	if offRes.Witness.Str != refRes.Witness.Str || offRes.Energy != refRes.Energy {
-		t.Errorf("shared cache changed the Off solve: got (%q, %g), want (%q, %g)",
-			offRes.Witness.Str, offRes.Energy, refRes.Witness.Str, refRes.Energy)
+	if fmt.Sprint(got) != fmt.Sprint(ref) {
+		t.Errorf("shared cache changed Enumerate: got %v, want %v", got, ref)
 	}
 }
 
 func TestCacheNeverServesRawToPresolveOn(t *testing.T) {
 	c := Palindrome(8)
 
-	refRes, err := auditSolver(On, nil, 9).Solve(c)
+	refRes, err := auditSolver(nil).Solve(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := qubo.NewCache(64)
-	if _, err := auditSolver(Off, cache, 9).Solve(c); err != nil {
+	if _, err := auditSolver(cache).Enumerate(c, 3); err != nil {
 		t.Fatal(err)
 	}
-	onRes, err := auditSolver(On, cache, 9).Solve(c)
+	res, err := auditSolver(cache).Solve(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if onRes.Stats.CacheHits != 0 {
-		t.Errorf("Presolve: On solve took %d cache hits from a cache warmed by Presolve: Off", onRes.Stats.CacheHits)
+	if res.Stats.CacheHits != 0 {
+		t.Errorf("presolved Solve took %d cache hits from a cache warmed by Enumerate", res.Stats.CacheHits)
 	}
-	if onRes.Witness.Str != refRes.Witness.Str || onRes.Energy != refRes.Energy {
-		t.Errorf("shared cache changed the On solve: got (%q, %g), want (%q, %g)",
-			onRes.Witness.Str, onRes.Energy, refRes.Witness.Str, refRes.Energy)
+	if res.Witness.Str != refRes.Witness.Str || res.Energy != refRes.Energy {
+		t.Errorf("shared cache changed Solve: got (%q, %g), want (%q, %g)",
+			res.Witness.Str, res.Energy, refRes.Witness.Str, refRes.Energy)
 	}
 }
 
 func TestCachePresolveIsolationThroughSolveBatch(t *testing.T) {
-	cs := []Constraint{Palindrome(8), SubstringMatch("cat", 4), Equality("hello")}
+	// Presolve reduces the first three and leaves AvoidChars whole, whose
+	// identical 12-variable shards hit each other within a SolveBatch.
+	cs := []Constraint{Palindrome(8), SubstringMatch("cat", 4), Equality("hello"), AvoidChars([]byte("tt"), 4)}
 	ctx := context.Background()
-
-	// Cache-free references under both toggles.
-	refOff, err := auditSolver(Off, nil, 9).SolveBatch(ctx, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOn, err := auditSolver(On, nil, 9).SolveBatch(ctx, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One shared cache, On batch first, then Off, then On again.
-	cache := qubo.NewCache(256)
-	if _, err := auditSolver(On, cache, 9).SolveBatch(ctx, cs); err != nil {
-		t.Fatal(err)
-	}
-	gotOff, err := auditSolver(Off, cache, 9).SolveBatch(ctx, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOn, err := auditSolver(On, cache, 9).SolveBatch(ctx, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	compare := func(label string, got, want *BatchResult) {
-		t.Helper()
-		for i := range cs {
-			g, w := got.Items[i], want.Items[i]
-			if (g.Err == nil) != (w.Err == nil) {
-				t.Errorf("%s[%d]: err = %v, want %v", label, i, g.Err, w.Err)
-				continue
-			}
-			if g.Err != nil {
-				continue
-			}
-			if g.Result.Witness != w.Result.Witness || g.Result.Energy != w.Result.Energy {
-				t.Errorf("%s[%d]: shared cache changed the result: got (%+v, %g), want (%+v, %g)",
-					label, i, g.Result.Witness, g.Result.Energy, w.Result.Witness, w.Result.Energy)
+	solveHits := func(br *BatchResult) int {
+		hits := 0
+		for _, it := range br.Items {
+			if it.Err == nil {
+				hits += it.Result.Stats.CacheHits
 			}
 		}
+		return hits
 	}
-	compare("off-after-on", gotOff, refOff)
-	compare("on-after-off-after-on", gotOn, refOn)
+
+	// Cache-free references of both sides, and the SolveBatch's own
+	// within-batch hits on a fresh cache.
+	refSolve, err := auditSolver(nil).SolveBatch(ctx, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEnum, err := auditSolver(nil).EnumerateBatch(ctx, cs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := auditSolver(qubo.NewCache(256)).SolveBatch(ctx, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Presolved entries first, then the raw side.
+	cache := qubo.NewCache(256)
+	if _, err := auditSolver(cache).SolveBatch(ctx, cs); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats().Hits
+	gotEnum, err := auditSolver(cache).EnumerateBatch(ctx, cs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := cache.Stats().Hits - before; hits != 0 {
+		t.Errorf("EnumerateBatch took %d cache hits from a cache warmed by SolveBatch", hits)
+	}
+
+	// Raw entries first, then the presolved side.
+	cache = qubo.NewCache(256)
+	if _, err := auditSolver(cache).EnumerateBatch(ctx, cs, 2); err != nil {
+		t.Fatal(err)
+	}
+	gotSolve, err := auditSolver(cache).SolveBatch(ctx, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := solveHits(gotSolve), solveHits(own); got != want {
+		t.Errorf("SolveBatch after EnumerateBatch took %d cache hits, %d on a fresh cache", got, want)
+	}
+
+	for i := range cs {
+		g, w := gotSolve.Items[i], refSolve.Items[i]
+		if (g.Err == nil) != (w.Err == nil) {
+			t.Errorf("solve[%d]: err = %v, want %v", i, g.Err, w.Err)
+			continue
+		}
+		if g.Err == nil && (g.Result.Witness != w.Result.Witness || g.Result.Energy != w.Result.Energy) {
+			t.Errorf("solve[%d]: shared cache changed the result: got (%+v, %g), want (%+v, %g)",
+				i, g.Result.Witness, g.Result.Energy, w.Result.Witness, w.Result.Energy)
+		}
+		if fmt.Sprint(gotEnum[i]) != fmt.Sprint(refEnum[i]) {
+			t.Errorf("enumerate[%d]: shared cache changed the result: got %v, want %v", i, gotEnum[i], refEnum[i])
+		}
+	}
+	if solveHits(own) == 0 {
+		t.Error("SolveBatch compiled no shared shard; the audit needs the cache in use")
+	}
 }

@@ -51,8 +51,6 @@ func main() {
 		remoteURL     = flag.String("remote", "", "comma-separated base URLs of remote annealer services (see cmd/annealerd); two or more enable failover")
 		remoteRetries = flag.Int("remote-retries", remote.DefaultMaxRetries, "retries per sampling job on transient remote failures")
 		sampleTimeout = flag.Duration("sample-timeout", 0, "deadline per sampling job (0 = none)")
-		presolve      = flag.Bool("presolve", true, "reduce each QUBO before sampling (persistency fixing, pendant folding, pair merging)")
-		warmstart     = flag.Bool("warmstart", true, "seed a fraction of annealer reads from greedy-descent and baseline-propagation states")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: qsmt [flags] [file.smt2]\n\nFlags:\n")
@@ -84,12 +82,6 @@ func main() {
 		MaxAttempts:  *attempts,
 		Seed:         *seed,
 		BatchWorkers: *workers,
-	}
-	if !*presolve {
-		opts.Presolve = qsmt.Off
-	}
-	if !*warmstart {
-		opts.WarmStart = qsmt.Off
 	}
 	if *cacheSize > 0 {
 		opts.CompileCache = qubo.NewCache(*cacheSize)

@@ -38,7 +38,7 @@ const incrementalMemoCap = 4096
 // reduce/compile stages) and the component-space sample set, already
 // lifted back through the reduction so Scatter can place it directly.
 type componentEntry struct {
-	red      *qubo.Reduction   // nil when presolve is off or eliminated nothing
+	red      *qubo.Reduction   // nil when presolve eliminated nothing
 	compiled *qubo.Compiled    // nil for coupler-free (closed-form) components
 	set      *anneal.SampleSet // component-local assignments, energy-sorted
 }
@@ -70,7 +70,7 @@ type IncrementalSession struct {
 }
 
 // NewIncrementalSession returns an incremental session backed by s. The
-// session borrows the solver's options (sampler, presolve, warm starts,
+// session borrows the solver's options (sampler, exact-tier size,
 // compile cache, metrics); it does not copy them, so later option
 // visibility follows the solver value the caller keeps.
 func (s *Solver) NewIncrementalSession() *IncrementalSession {
@@ -148,7 +148,7 @@ func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, pa
 			p.set = prev.set
 			continue
 		}
-		if err := is.solveComponent(ctx, p, fp, prev, parent, attempt, i, st); err != nil {
+		if err := is.solveComponent(ctx, p, fp, prev, parent, pl.model.N(), attempt, i, st); err != nil {
 			return fmt.Errorf("component %d/%d: %w", i, len(pl.entries), err)
 		}
 	}
@@ -161,7 +161,7 @@ func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, pa
 // reused so a re-sample pays only for sampler reads. The entry's set
 // ends up holding component-local full-space assignments (already lifted
 // through the reduction).
-func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, attempt, ordinal int, st *SolveStats) error {
+func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, fullN, attempt, ordinal int, st *SolveStats) error {
 	s := is.s
 	var red *qubo.Reduction
 	p.tier, p.seeds = tierClosedForm, nil
@@ -170,17 +170,15 @@ func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, 
 			red, p.compiled = prev.red, prev.compiled
 			st.IncrementalPresolveReuses++
 		} else {
-			work, r := s.presolve(p.shard.Model, st)
+			work, r := presolve(p.shard.Model, nil, st)
 			red = r
 			phase := time.Now()
 			p.compiled = s.compileModel(work, st)
 			st.Compile += time.Since(phase)
 		}
 		p.tier = s.tierOf(p.compiled)
-		if p.tier != tierExact && s.warmable() {
-			// The session's parent witness rides along as a warm-start
-			// seed like any other.
-			p.seeds = is.componentSeeds(p.compiled, red, p.shard, parent, st)
+		if p.tier != tierExact {
+			p.seeds, p.warm = is.componentSeeds(p.compiled, red, p.shard, parent, fullN, st)
 		}
 	}
 	if p.tier <= tierExact {
@@ -208,31 +206,23 @@ func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, 
 	return nil
 }
 
-// componentSeeds assembles warm-start states for a sampled component:
-// the parent frame's witness — restricted to the component's variables
-// and projected through its presolve reduction, then greedily polished
-// (anneal.PolishSeed) — leads, followed by the solver's standard greedy
-// seeds. Nil when warm starts are disabled.
-func (is *IncrementalSession) componentSeeds(compiled *qubo.Compiled, red *qubo.Reduction, sh *qubo.Shard, parent []qubo.Bit, st *SolveStats) [][]qubo.Bit {
-	if !is.s.opts.WarmStart.enabled(true) {
-		return nil
+// componentSeeds assembles the initial states of a sampled component
+// (see entryStates). A full-model assignment (fullN variables) maps
+// into the component's space by restriction to its variables and
+// projection through its presolve reduction. With warm starts, the
+// parent frame's witness, so mapped and greedily polished
+// (anneal.PolishSeed), leads the solver's standard greedy seeds.
+func (is *IncrementalSession) componentSeeds(compiled *qubo.Compiled, red *qubo.Reduction, sh *qubo.Shard, parent []qubo.Bit, fullN int, st *SolveStats) ([][]qubo.Bit, bool) {
+	toComponent := func(x []qubo.Bit) []qubo.Bit { return red.Project(restrict(x, sh.Vars)) }
+	seeds, warm := is.s.entryStates(compiled, fullN, toComponent)
+	if !warm || parent == nil {
+		return seeds, warm
 	}
-	seeds := is.s.warmSeeds(compiled)
-	if parent == nil {
-		return seeds
-	}
-	local := make([]qubo.Bit, len(sh.Vars))
-	for k, g := range sh.Vars {
-		local[k] = parent[g]
-	}
-	if red != nil {
-		local = red.Project(local)
-	}
-	if seed := anneal.PolishSeed(compiled, local, is.s.opts.Seed); seed != nil {
+	if seed := anneal.PolishSeed(compiled, toComponent(parent), is.s.opts.Seed); seed != nil {
 		st.IncrementalParentSeeds++
 		seeds = append([][]qubo.Bit{seed}, seeds...)
 	}
-	return seeds
+	return seeds, warm
 }
 
 // lookup returns the memo entry for fp, or nil.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qsmt/internal/anneal"
+	"qsmt/internal/qubo"
 	"qsmt/internal/strtheory"
 )
 
@@ -148,29 +149,32 @@ func TestIncrementalSessionReset(t *testing.T) {
 }
 
 // TestIncrementalSessionParentSeeding drives the sampled-component path
-// (exact shard solving disabled, presolve off so the tiny gadget
-// components survive to the sampler) and checks that a child frame's
-// fresh components are warm-started from the parent frame's witness.
+// (exact shard solving disabled; AvoidChars components survive presolve
+// coupled) and checks that a child frame's fresh components are
+// warm-started from the parent frame's witness. The child avoids a
+// different character set over the same variable layout, so every
+// component is fresh.
 func TestIncrementalSessionParentSeeding(t *testing.T) {
 	s := NewSolver(&Options{
 		Sampler:        &anneal.SimulatedAnnealer{Reads: 16, Sweeps: 200, Seed: 5},
 		ExactShardVars: -1,
-		Presolve:       Off,
 	})
 	is := s.NewIncrementalSession()
 	ctx := context.Background()
-	parent, err := is.Solve(ctx, "x", Palindrome(8))
+	parent, err := is.Solve(ctx, "x", AvoidChars([]byte("tt"), 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parent.Stats.IncrementalParentSeeds != 0 {
 		t.Errorf("first frame claimed %d parent seeds with no parent", parent.Stats.IncrementalParentSeeds)
 	}
-	child, err := is.Solve(ctx, "x", And(Palindrome(8), CharAt('m', 0, 8)))
+	if parent.Stats.PresolveEliminated != 0 {
+		t.Fatalf("presolve eliminated %d variables; the components must reach the sampler whole", parent.Stats.PresolveEliminated)
+	}
+	child, err := is.Solve(ctx, "x", AvoidChars([]byte("uu"), 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPalindrome(t, child.Witness.Str, 8)
 	if child.Stats.IncrementalParentSeeds == 0 {
 		t.Error("child frame's fresh components were not seeded from the parent witness")
 	}
@@ -212,6 +216,33 @@ func TestIncrementalSessionConcurrent(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("lineage %d: %v", i, err)
+		}
+	}
+}
+
+// An incremental solve presolves each fresh coupled component on its
+// own; PresolveRatio must cover all of them — variables eliminated over
+// variables that entered presolve, summed across the solve — not the
+// ratio of the last component presolved. A component whose content
+// repeats an earlier one in the same solve is a memo hit and never
+// enters presolve.
+func TestIncrementalPresolveRatioCoversEveryComponent(t *testing.T) {
+	for _, c := range []Constraint{Palindrome(4), And(Palindrome(4), CharAt('x', 1, 4))} {
+		res, err := NewSolver(&Options{Seed: 3}).NewIncrementalSession().Solve(context.Background(), "k", c)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		entered := 0
+		seen := map[qubo.Fingerprint]bool{}
+		for _, sh := range qubo.Components(mustModel(t, c)) {
+			if fp := qubo.FingerprintOf(sh.Model); sh.Model.NumQuadratic() > 0 && !seen[fp] {
+				seen[fp] = true
+				entered += len(sh.Vars)
+			}
+		}
+		st := res.Stats
+		if want := float64(st.PresolveEliminated) / float64(entered); st.PresolveRatio != want {
+			t.Errorf("%s: PresolveRatio = %g, want %d/%d = %g", c.Name(), st.PresolveRatio, st.PresolveEliminated, entered, want)
 		}
 	}
 }

@@ -78,15 +78,6 @@ func (r *Reduction) Eliminated() int { return r.FullN - len(r.Vars) }
 // Reduced reports whether presolve removed at least one variable.
 func (r *Reduction) Reduced() bool { return r.Eliminated() > 0 }
 
-// Ratio returns the eliminated fraction of the full model's variables
-// (0 for an empty model).
-func (r *Reduction) Ratio() float64 {
-	if r.FullN == 0 {
-		return 0
-	}
-	return float64(r.Eliminated()) / float64(r.FullN)
-}
-
 // liftStep is one recorded elimination; Lift replays the record in
 // reverse elimination order, so the referenced neighbor j is always
 // resolved (surviving or later-eliminated) before the step runs.
@@ -122,8 +113,12 @@ func (r *Reduction) Lift(x []Bit) []Bit {
 // (Project(Lift(x)) == x for every reduced x), and is how an assignment
 // found for an earlier revision of a model — an incremental session's
 // parent-frame witness — is threaded through a fresh presolve as a
-// warm-start state.
+// warm-start state. A nil reduction (presolve eliminated nothing) is
+// the identity.
 func (r *Reduction) Project(full []Bit) []Bit {
+	if r == nil {
+		return full
+	}
 	if len(full) != r.FullN {
 		panic(fmt.Sprintf("qubo: project of %d bits, full model has %d", len(full), r.FullN))
 	}

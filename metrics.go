@@ -34,18 +34,22 @@ type SolveStats struct {
 	GroundFraction float64 // ground-state hit rate of the last sample set
 
 	Compile      time.Duration // BuildModel + QUBO compilation
-	Presolve     time.Duration // QUBO presolve stage (0 when disabled)
+	Presolve     time.Duration // QUBO presolve stage (0 on Enumerate, which skips it)
 	Sample       time.Duration // total time inside the sampler
 	DecodeVerify time.Duration // total time decoding and checking candidates
 
-	// PresolveRounds is how many fixed-point rounds the presolver ran;
-	// 0 means the presolve stage was disabled (the stage itself always
-	// runs at least one round when on).
+	// PresolveRounds is how many fixed-point rounds the presolver ran,
+	// summed over the models it presolved (at least one round each); 0
+	// means nothing was presolved — an Enumerate, or an incremental
+	// solve served from its component memo.
 	PresolveRounds int
 	// PresolveEliminated is how many binary variables presolve removed
 	// (persistency fixes, pendant folds and pair merges combined).
 	PresolveEliminated int
-	// PresolveRatio is the fraction of variables eliminated, in [0, 1].
+	// PresolveRatio is the fraction of the variables that entered
+	// presolve which it eliminated, in [0, 1], summed over every model
+	// the solve presolved (an incremental solve presolves each fresh
+	// component on its own).
 	PresolveRatio float64
 	// WarmSeeded counts sampling operations (whole-model attempts or
 	// sampled shards) that were offered warm-start states.
@@ -57,9 +61,9 @@ type SolveStats struct {
 
 	// Shards is how many connected-component shards the solve's plan
 	// had: 1 for a connected model, 0 for a model that presolve
-	// eliminated, and 0 for a whole-model solve (a custom Sampler or
-	// Optimize without Options.Shard). Result.Shards reports 1 in both
-	// zero cases.
+	// eliminated, and 0 for a whole-model solve (Solve with a custom
+	// Sampler outside a batch, Optimize, Enumerate). Result.Shards
+	// reports 1 in both zero cases.
 	Shards int
 	// ExactShards counts shards solved without the configured sampler:
 	// closed-form (coupler-free) shards plus exhaustively enumerated
@@ -112,6 +116,9 @@ type SolveStats struct {
 	ObjectiveBound        float64
 	ObjectiveOptimal      bool
 
+	// presolveVars sums the variables that entered presolve, the
+	// denominator of PresolveRatio.
+	presolveVars int
 	// bestSet tracks whether BestEnergy holds a real sample energy yet;
 	// without it an empty first sample set would leave the zero value
 	// looking like a legitimate best of 0.

@@ -4,8 +4,8 @@ package qsmt
 // objective minimization layered onto the hard-penalty QUBO pipeline.
 // QUBO is natively an optimizer — the sat path only ever asks it for a
 // zero-penalty ground state — so the optimize loop reuses the whole
-// machinery (presolve, warm starts, shard decomposition, the verify
-// loop) and changes just two things:
+// machinery (presolve, warm starts, the verify loop) and changes just
+// two things:
 //
 //   - model assembly: the hard model's penalties are scaled by a weight
 //     M large enough that no combination of soft rewards can pay for a
@@ -123,10 +123,10 @@ func modelSpan(m *qubo.Model) float64 {
 }
 
 // buildOptimizePlan assembles the combined model. The hard weight M is
-// Options.HardWeight when set, else 1 + softSpan/hardGap where softSpan
-// is the weighted sum of the softs' objective spans (the theory span
-// for graded objectives, whose gadgets realize it exactly; the model's
-// energy span for plain softs) and hardGap is the smallest penalty-tier
+// 1 + softSpan/hardGap, where softSpan is the weighted sum of the softs'
+// objective spans (the theory span for graded objectives, whose gadgets
+// realize it exactly; the model's energy span for plain softs) and
+// hardGap is the smallest penalty-tier
 // coefficient magnitude in the hard model — the minimum cost of
 // violating a *checked* hard property under the paper's ±A encodings.
 // The SoftFactor·A printable style-bias terms are deliberately not
@@ -137,7 +137,7 @@ func modelSpan(m *qubo.Model) float64 {
 // never depends on M — the verify loop rejects every hard-violating
 // candidate — M only shapes the landscape so the annealer's low-energy
 // states are feasible ones.
-func (s *Solver) buildOptimizePlan(hard []Constraint, soft []SoftConstraint) (*optPlan, error) {
+func buildOptimizePlan(hard []Constraint, soft []SoftConstraint) (*optPlan, error) {
 	if len(hard) == 0 {
 		return nil, fmt.Errorf("qsmt: optimize requires at least one hard constraint")
 	}
@@ -214,15 +214,12 @@ func (s *Solver) buildOptimizePlan(hard []Constraint, soft []SoftConstraint) (*o
 		observeGap(t.W)
 	}
 
-	M := s.opts.HardWeight
-	if M <= 0 {
-		M = 1
-		if softSpan > 0 {
-			if gap <= 0 {
-				gap = 1
-			}
-			M = 1 + softSpan/gap
+	M := 1.0
+	if softSpan > 0 {
+		if gap <= 0 {
+			gap = 1
 		}
+		M = 1 + softSpan/gap
 	}
 
 	combined := qubo.New(totalVars)
@@ -326,15 +323,15 @@ func (s *Solver) OptimizeContext(ctx context.Context, hard []Constraint, soft []
 
 func (s *Solver) optimizeContext(ctx context.Context, hard []Constraint, soft []SoftConstraint, st *SolveStats) (*Result, error) {
 	start := time.Now()
-	op, err := s.buildOptimizePlan(hard, soft)
+	op, err := buildOptimizePlan(hard, soft)
 	if err != nil {
 		return nil, err
 	}
 	st.SoftTerms = len(op.softs)
 	st.HardWeight = op.hardWeight
 
-	work, red := s.presolveProtected(op.combined, op.protected, st)
-	pl := s.newPlan(work, red, s.opts.Shard, st)
+	work, red := presolve(op.combined, op.protected, st)
+	pl := s.sampledPlan(work, red, op.combined.N(), st)
 	st.Compile = time.Since(start) - st.Presolve
 	acc := &gradedIncumbent{pl: op, res: Result{Vars: op.combined.N(), Shards: max(len(pl.entries), 1)}}
 	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }

@@ -147,16 +147,16 @@ type weakSampler struct{ calls int }
 
 func (w *weakSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) {
 	w.calls++
-	x := make([]qubo.Bit, c.N) // all zeros decodes to NULs, fails equality
+	x := make([]qubo.Bit, c.N) // all zeros decodes to NULs, fails Check
 	return &anneal.SampleSet{Samples: []anneal.Sample{{X: x, Energy: c.Energy(x), Occurrences: 1}}}, nil
 }
 
 func TestSolverExhaustsRetriesToErrNoModel(t *testing.T) {
-	// Presolve off: Equality is a pure-field model that presolve solves
-	// outright, and this test needs the sampler's bad output to matter.
+	// AvoidChars survives presolve untouched (an Equality would be
+	// solved outright), so the sampler's bad output reaches Check.
 	ws := &weakSampler{}
-	s := NewSolver(&Options{Sampler: ws, MaxAttempts: 3, Presolve: Off})
-	_, err := s.Solve(Equality("a"))
+	s := NewSolver(&Options{Sampler: ws, MaxAttempts: 3})
+	_, err := s.Solve(AvoidChars([]byte("tt"), 6))
 	if !errors.Is(err, ErrNoModel) {
 		t.Fatalf("err = %v, want ErrNoModel", err)
 	}

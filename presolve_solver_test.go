@@ -1,6 +1,7 @@
 package qsmt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -42,29 +43,29 @@ func exactGround(t *testing.T, c Constraint) float64 {
 
 // The headline acceptance property: on every Table 1 row, the
 // presolve+lift-back path must produce a verified witness at the same
-// ground energy as the unreduced path. Solve only returns witnesses
-// that passed Check, so a nil error is the verification.
+// ground energy as the unreduced model, here sampled directly with the
+// default annealer. Solve only returns witnesses that passed Check, so
+// a nil error is the verification.
 func TestPresolveDifferentialTable1(t *testing.T) {
 	for _, c := range table1Constraints() {
-		on := NewSolver(&Options{Seed: 3})
-		off := NewSolver(&Options{Seed: 3, Presolve: Off, WarmStart: Off})
-		ron, err := on.Solve(c)
+		res, err := NewSolver(&Options{Seed: 3}).Solve(c)
 		if err != nil {
-			t.Fatalf("%s: presolve-on solve: %v", c.Name(), err)
+			t.Fatalf("%s: solve: %v", c.Name(), err)
 		}
-		roff, err := off.Solve(c)
+		m := mustModel(t, c)
+		raw, err := (&anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000, Seed: 3}).Sample(m.Compile())
 		if err != nil {
-			t.Fatalf("%s: presolve-off solve: %v", c.Name(), err)
+			t.Fatalf("%s: unreduced sample: %v", c.Name(), err)
 		}
-		if diff := ron.Energy - roff.Energy; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: presolve-on energy %g != presolve-off energy %g",
-				c.Name(), ron.Energy, roff.Energy)
+		if diff := res.Energy - raw.Best().Energy; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("%s: presolved energy %g != unreduced energy %g",
+				c.Name(), res.Energy, raw.Best().Energy)
 		}
-		if ron.Vars != roff.Vars {
+		if res.Vars != m.N() {
 			t.Errorf("%s: Vars %d != %d — presolve must report full-model size",
-				c.Name(), ron.Vars, roff.Vars)
+				c.Name(), res.Vars, m.N())
 		}
-		if err := c.Check(ron.Witness); err != nil {
+		if err := c.Check(res.Witness); err != nil {
 			t.Errorf("%s: lifted witness fails re-check: %v", c.Name(), err)
 		}
 	}
@@ -137,47 +138,31 @@ func TestPresolveDifferentialRandomConstraints(t *testing.T) {
 	}
 }
 
-// Disabling both features must be deterministic and self-consistent:
-// two identically configured solvers produce identical results, and the
-// presolve stats stay zero.
+// Enumerate is the one path without presolve or warm starts (it needs
+// the full degenerate ground manifold): it must be deterministic —
+// two identically configured solvers enumerate identical witnesses —
+// and leave the presolve and warm-start stats at zero.
 func TestPresolveOffIsCleanlyDisabled(t *testing.T) {
+	ctx := context.Background()
 	for _, c := range table1Constraints() {
-		a, err := NewSolver(&Options{Seed: 11, Presolve: Off, WarmStart: Off}).Solve(c)
+		var sa, sb SolveStats
+		a, err := NewSolver(&Options{Seed: 11}).enumerateContext(ctx, c, 3, &sa)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		b, err := NewSolver(&Options{Seed: 11, Presolve: Off, WarmStart: Off}).Solve(c)
+		b, err := NewSolver(&Options{Seed: 11}).enumerateContext(ctx, c, 3, &sb)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		if a.Witness.Str != b.Witness.Str || a.Energy != b.Energy || a.Attempts != b.Attempts {
-			t.Errorf("%s: disabled path not deterministic: (%q %g %d) vs (%q %g %d)",
-				c.Name(), a.Witness.Str, a.Energy, a.Attempts, b.Witness.Str, b.Energy, b.Attempts)
+		if fmt.Sprint(a) != fmt.Sprint(b) || sa.Attempts != sb.Attempts {
+			t.Errorf("%s: Enumerate not deterministic: %v in %d attempts vs %v in %d",
+				c.Name(), a, sa.Attempts, b, sb.Attempts)
 		}
-		st := a.Stats
-		if st.PresolveRounds != 0 || st.PresolveEliminated != 0 || st.Presolve != 0 {
-			t.Errorf("%s: presolve stats nonzero with Presolve: Off: %+v", c.Name(), st)
+		if sa.PresolveRounds != 0 || sa.PresolveEliminated != 0 || sa.Presolve != 0 {
+			t.Errorf("%s: presolve stats nonzero on Enumerate: %+v", c.Name(), sa)
 		}
-		if st.WarmSeeded != 0 || st.WarmHits != 0 {
-			t.Errorf("%s: warm stats nonzero with WarmStart: Off", c.Name())
-		}
-	}
-}
-
-func TestToggleResolution(t *testing.T) {
-	cases := []struct {
-		t    Toggle
-		def  bool
-		want bool
-	}{
-		{DefaultToggle, true, true},
-		{DefaultToggle, false, false},
-		{On, false, true},
-		{Off, true, false},
-	}
-	for _, tc := range cases {
-		if got := tc.t.enabled(tc.def); got != tc.want {
-			t.Errorf("Toggle(%d).enabled(%v) = %v, want %v", tc.t, tc.def, got, tc.want)
+		if sa.WarmSeeded != 0 || sa.WarmHits != 0 {
+			t.Errorf("%s: warm stats nonzero on Enumerate", c.Name())
 		}
 	}
 }
@@ -234,12 +219,11 @@ func TestPresolveStatsAndMetrics(t *testing.T) {
 }
 
 // Warm starts must be observable and bounded: a solve whose sampler
-// supports seeding counts WarmSeeded, and hits never exceed seeds.
-// Presolve is off so the mirror couplers survive, and the explicit
-// sampler keeps the whole-model SA path (the default Solve would solve
-// the mirror components exactly).
+// supports seeding counts WarmSeeded, and hits never exceed seeds. The
+// explicit sampler keeps the whole-model SA path (the default Solve
+// would solve the presolved palindrome closed-form).
 func TestWarmStartObserved(t *testing.T) {
-	s := NewSolver(&Options{Seed: 4, Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
+	s := NewSolver(&Options{Seed: 4, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
 	res, err := s.Solve(Palindrome(6))
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -252,11 +236,12 @@ func TestWarmStartObserved(t *testing.T) {
 		t.Errorf("WarmHits %d > WarmSeeded %d", st.WarmHits, st.WarmSeeded)
 	}
 
-	// A sampler the solver cannot seed (user-set InitialStates) must not
-	// be counted or overwritten.
+	// A sampler with user-set InitialStates is not warm-seeded and never
+	// overwritten. Its full-width states are mapped into the presolved
+	// (42 → 15 variable) model on a copy of the sampler.
 	own := anneal.GreedySeeds(mustModel(t, Palindrome(6)).Compile(), 2, 1)
 	sa := &anneal.SimulatedAnnealer{Reads: 16, Sweeps: 200, Seed: 1, InitialStates: own}
-	s2 := NewSolver(&Options{Seed: 4, Presolve: Off, Sampler: sa})
+	s2 := NewSolver(&Options{Seed: 4, Sampler: sa})
 	res2, err := s2.Solve(Palindrome(6))
 	if err != nil {
 		t.Fatalf("solve with user seeds: %v", err)
@@ -264,8 +249,35 @@ func TestWarmStartObserved(t *testing.T) {
 	if res2.Stats.WarmSeeded != 0 {
 		t.Errorf("WarmSeeded = %d for a sampler with user-set InitialStates, want 0", res2.Stats.WarmSeeded)
 	}
-	if fmt.Sprintf("%p", sa.InitialStates) != fmt.Sprintf("%p", own) {
+	if fmt.Sprintf("%p", sa.InitialStates) != fmt.Sprintf("%p", own) || len(sa.InitialStates[0]) != 42 {
 		t.Error("solver replaced the user's InitialStates")
+	}
+
+	// The same holds per shard: a batch and an incremental session map
+	// the states into each sampled 12-variable AvoidChars component.
+	c := AvoidChars([]byte("tt"), 6)
+	ownTT := anneal.GreedySeeds(mustModel(t, c).Compile(), 2, 1)
+	pt := &anneal.ParallelTempering{Reads: 8, Sweeps: 100, Seed: 1, InitialStates: ownTT}
+	s3 := NewSolver(&Options{Seed: 4, Sampler: pt, ExactShardVars: -1})
+	br, err := s3.SolveBatch(context.Background(), []Constraint{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := br.Items[0]; it.Err != nil || it.Result.Shards != 6 {
+		t.Fatalf("batch with user seeds: %+v", it)
+	}
+	if _, err := s3.NewIncrementalSession().Solve(context.Background(), "k", c); err != nil {
+		t.Fatalf("incremental solve with user seeds: %v", err)
+	}
+	if len(pt.InitialStates[0]) != 72 {
+		t.Error("solver replaced the user's InitialStates")
+	}
+
+	// A state of any other width reaches the sampler unchanged, which
+	// reports the mismatch.
+	bad := &anneal.SimulatedAnnealer{Reads: 8, Sweeps: 50, InitialStates: [][]qubo.Bit{make([]qubo.Bit, 5)}}
+	if _, err := NewSolver(&Options{Sampler: bad}).Solve(Palindrome(6)); err == nil || !strings.Contains(err.Error(), "5 bits") {
+		t.Errorf("off-width user state: err = %v, want the sampler's width mismatch", err)
 	}
 }
 

@@ -45,7 +45,11 @@ type shardPlan struct {
 	shard    *qubo.Shard    // nil for the whole-model entry
 	compiled *qubo.Compiled // nil for closed-form entries
 	tier     tier
-	seeds    [][]qubo.Bit // warm-start states for sampled entries
+	// seeds are the initial states of a sampled entry: the solver's
+	// warm-start seeds (warm), or the sampler's own states mapped into
+	// the entry's space (see entryStates).
+	seeds [][]qubo.Bit
+	warm  bool
 
 	set *anneal.SampleSet // this attempt's samples, entry-local
 	err error
@@ -70,58 +74,67 @@ type plan struct {
 }
 
 // newPlan plans the working model work, whose candidates red lifts back
-// to the full space. With shard set, every model is planned by its
-// connected components, each placed by tierOf: a connected model is a
-// one-component plan and a model that presolve reduced to nothing a
-// zero-entry plan, whose one candidate is the empty assignment (both
-// recorded as ShardFallback). The decomposition is exact: no coupler
-// crosses a component boundary, so merging per-shard minima yields a
-// global minimum. Without shard the model is one whole-model entry on
-// the configured sampler.
-func (s *Solver) newPlan(work *qubo.Model, red *qubo.Reduction, shard bool, st *SolveStats) plan {
-	if shard {
-		shards := qubo.Components(work)
-		st.Shards = len(shards)
-		st.ShardFallback = len(shards) <= 1
-		return plan{model: work, red: red, entries: s.planShards(shards, st), attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
+// to the full space of fullN variables. Solve with the default sampler
+// and every solve of a batch (the batch layer's gated solver copy) run
+// the shard tier plan: the model is planned by its connected
+// components, each placed by tierOf. A connected model is a one-component plan and a model that
+// presolve reduced to nothing a zero-entry plan, whose one candidate is
+// the empty assignment (both recorded as ShardFallback). The
+// decomposition is exact: no coupler crosses a component boundary, so
+// merging per-shard minima yields a global minimum. A solve with a
+// custom sampler outside a batch samples the whole model (sampledPlan).
+func (s *Solver) newPlan(work *qubo.Model, red *qubo.Reduction, fullN int, st *SolveStats) plan {
+	if s.opts.Sampler != nil && s.gate == nil {
+		return s.sampledPlan(work, red, fullN, st)
 	}
-	compiled := s.compileModel(work, st)
-	var seeds [][]qubo.Bit
-	if s.warmable() {
-		seeds = s.warmSeeds(compiled)
-	}
-	return s.wholePlan(work, red, compiled, seeds)
+	shards := qubo.Components(work)
+	st.Shards = len(shards)
+	st.ShardFallback = len(shards) <= 1
+	return plan{model: work, red: red, entries: s.planShards(shards, red, fullN, st), attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
+}
+
+// sampledPlan is the one-entry plan that samples the whole compiled
+// working model with the configured sampler (Optimize, and Solve with a
+// custom sampler).
+func (s *Solver) sampledPlan(work *qubo.Model, red *qubo.Reduction, fullN int, st *SolveStats) plan {
+	pl := s.wholePlan(work, red, s.compileModel(work, st))
+	p := &pl.entries[0]
+	p.seeds, p.warm = s.entryStates(p.compiled, fullN, red.Project)
+	return pl
 }
 
 // wholePlan is the one-entry plan that samples the compiled working
-// model with the configured sampler.
-func (s *Solver) wholePlan(work *qubo.Model, red *qubo.Reduction, compiled *qubo.Compiled, seeds [][]qubo.Bit) plan {
+// model with the configured sampler, without initial states.
+func (s *Solver) wholePlan(work *qubo.Model, red *qubo.Reduction, compiled *qubo.Compiled) plan {
 	return plan{
 		model: work, red: red, whole: true,
-		entries:  []shardPlan{{compiled: compiled, tier: tierSampled, seeds: seeds}},
+		entries:  []shardPlan{{compiled: compiled, tier: tierSampled}},
 		attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt,
 	}
 }
 
-// planShards places the component shards of a model on their tiers,
-// compiling every coupled shard and deriving warm-start states for the
-// sampled ones.
-func (s *Solver) planShards(shards []qubo.Shard, st *SolveStats) []shardPlan {
+// planShards places the component shards of a working model on their
+// tiers, compiling every coupled shard and deriving the initial states
+// of the sampled ones.
+func (s *Solver) planShards(shards []qubo.Shard, red *qubo.Reduction, fullN int, st *SolveStats) []shardPlan {
 	plans := make([]shardPlan, len(shards))
 	for i := range shards {
-		plans[i].shard = &shards[i]
-		if shards[i].Model.NumQuadratic() == 0 {
+		sh := &shards[i]
+		plans[i].shard = sh
+		if sh.Model.NumQuadratic() == 0 {
 			st.ExactShards++
 			continue
 		}
 		p := &plans[i]
-		p.compiled = s.compileModel(shards[i].Model, st)
+		p.compiled = s.compileModel(sh.Model, st)
 		p.tier = s.tierOf(p.compiled)
 		if p.tier == tierExact {
 			st.ExactShards++
-		} else if s.warmable() {
-			p.seeds = s.warmSeeds(p.compiled)
+			continue
 		}
+		p.seeds, p.warm = s.entryStates(p.compiled, fullN, func(x []qubo.Bit) []qubo.Bit {
+			return restrict(red.Project(x), sh.Vars)
+		})
 	}
 	return plans
 }
@@ -148,13 +161,13 @@ func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal
 		// DefaultExactShardVars is the crossover measured single-worker.
 		p.set, p.err = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt, Workers: 1}, p.compiled)
 	default:
-		p.set, p.err = s.sample(ctx, warmSampler(s.samplerFor(attempt), p.seeds), p.compiled)
+		p.set, p.err = s.sample(ctx, withStates(s.samplerFor(attempt), p.seeds), p.compiled)
 	}
 }
 
 // observeEntry folds one sampled entry's warm-start result into st.
 func (st *SolveStats) observeEntry(p *shardPlan) {
-	if len(p.seeds) > 0 {
+	if p.warm {
 		st.WarmSeeded++
 		if p.set.Len() > 0 && p.set.Best().Warm {
 			st.WarmHits++

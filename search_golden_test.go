@@ -13,13 +13,15 @@ import (
 )
 
 // The search-loop golden test pins what every entry point returns on a
-// fixed corpus under four deterministic configurations: the verdict,
-// the witness, the QUBO energy, and the work counters (attempts,
-// shards, candidates, reads). The values in testdata/search_golden.txt
-// were generated by the per-entry-point retry loops that the shared
-// search loop replaced, so any behaviour drift of the refactor shows
-// up here line by line. Since then only counters have changed, on the
-// lines whose model moved to a cheaper tier.
+// fixed corpus under the two solver configurations (default and custom
+// sampler): the verdict, the witness, the QUBO energy, and the work
+// counters (attempts, shards, candidates, reads). The values in
+// testdata/search_golden.txt were generated by the per-entry-point
+// retry loops that the shared search loop replaced, so any behaviour
+// drift of the refactor shows up here line by line. Since then only
+// counters have changed, on the lines whose model moved to a cheaper
+// tier. The "batch" lines solve each corpus entry as a one-member
+// SolveBatch, which runs the tier plan with the custom sampler.
 
 // goldenConfigs are the option sets of the golden test. Every solve is
 // deterministic for its seed, the default configuration included: the
@@ -39,12 +41,6 @@ func goldenConfigs() []struct {
 		}},
 		{"custom-sa", func(m *qsmt.SolverMetrics) *qsmt.Options {
 			return &qsmt.Options{Seed: 7, Sampler: sa(), Metrics: m}
-		}},
-		{"custom-sa-shard", func(m *qsmt.SolverMetrics) *qsmt.Options {
-			return &qsmt.Options{Seed: 7, Sampler: sa(), Shard: true, Metrics: m}
-		}},
-		{"presolve-warm-off", func(m *qsmt.SolverMetrics) *qsmt.Options {
-			return &qsmt.Options{Seed: 7, Presolve: qsmt.Off, WarmStart: qsmt.Off, Metrics: m}
 		}},
 	}
 }
@@ -146,6 +142,13 @@ func goldenLines() []string {
 			res, err := sess.Solve(ctx, "path", c)
 			lines = append(lines, fmt.Sprintf("%s incremental %d %s: %s", cfg.name, step, c.Name(), resultLine(res, err, snapshot(m).since(prev))))
 		}
+	}
+	custom := goldenConfigs()[1]
+	for i, c := range goldenFamilies() {
+		m := qsmt.NewSolverMetrics(obs.NewRegistry())
+		br, _ := qsmt.NewSolver(custom.opts(m)).SolveBatch(ctx, []qsmt.Constraint{c}) // the error only reports an ended ctx
+		it := br.Items[0]
+		lines = append(lines, fmt.Sprintf("%s batch %d %s: %s", custom.name, i, c.Name(), resultLine(it.Result, it.Err, snapshot(m))))
 	}
 	return lines
 }

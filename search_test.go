@@ -15,12 +15,12 @@ import (
 // Tests of the shared search loop (search.go): its stats accounting and
 // its allocation budget.
 
-// emptyPairSampler returns an empty sample set for 2-variable models and
-// one row read 5 times for every other model.
-type emptyPairSampler struct{}
+// emptyTriangleSampler returns an empty sample set for 3-variable
+// models and one row read 5 times for every other model.
+type emptyTriangleSampler struct{}
 
-func (emptyPairSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) {
-	if c.N == 2 {
+func (emptyTriangleSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) {
+	if c.N == 3 {
 		return &anneal.SampleSet{}, nil
 	}
 	return &anneal.SampleSet{Samples: []anneal.Sample{{X: make([]qubo.Bit, c.N), Occurrences: 5}}}, nil
@@ -29,32 +29,39 @@ func (emptyPairSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) {
 // An empty set from one shard must not hide the reads the other shards
 // spent: the attempt has no candidate, but its reads and kernel
 // counters still count. The old aggregation returned at the first empty
-// set, so a 2-variable shard sampled first left the 3-variable shard's
-// reads out of SolveStats and qsmt_solve_reads_total.
+// set, so a shard sampled first left the other shard's reads out of
+// SolveStats and qsmt_solve_reads_total. The model is a frustrated
+// triangle and a frustrated 4-cycle, which presolve cannot reduce; a
+// one-member batch puts them on the tier plan and ExactShardVars -1 on
+// the sampler.
 func TestSearchCountsReadsPastAnEmptyShard(t *testing.T) {
 	c := &stubConstraint{
 		name: "two-components",
-		vars: 5,
+		vars: 7,
 		model: func() (*qubo.Model, error) {
-			m := qubo.New(5)
-			m.AddQuadratic(0, 1, 1)
-			m.AddQuadratic(2, 3, 1)
-			m.AddQuadratic(3, 4, 1)
+			m := qubo.New(7)
+			for i := 0; i < 7; i++ {
+				m.AddLinear(i, -1)
+			}
+			for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {5, 6}, {3, 6}} {
+				m.AddQuadratic(e[0], e[1], 1)
+			}
 			return m, nil
 		},
 		decode: func([]qubo.Bit) (Witness, error) { return Witness{Kind: WitnessString}, nil },
 	}
 	m := NewSolverMetrics(obs.NewRegistry())
 	s := NewSolver(&Options{
-		Sampler:        emptyPairSampler{},
-		Shard:          true,
+		Sampler:        emptyTriangleSampler{},
 		ExactShardVars: -1,
-		Presolve:       Off,
 		MaxAttempts:    2,
 		Metrics:        m,
 	})
-	_, err := s.Solve(c)
-	if !errors.Is(err, ErrNoModel) {
+	br, err := s.SolveBatch(context.Background(), []Constraint{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := br.Items[0].Err; !errors.Is(err, ErrNoModel) {
 		t.Fatalf("err = %v, want ErrNoModel (every attempt has an empty shard)", err)
 	}
 	if got := m.Reads.Value(); got != 10 {

@@ -27,43 +27,18 @@ type SamplerContext interface {
 	SampleContext(ctx context.Context, c *qubo.Compiled) (*anneal.SampleSet, error)
 }
 
-// Toggle is a tri-state boolean option: the zero value selects the
-// field's documented default, On forces the feature on, Off forces it
-// off. It exists so features that are on by default (presolve, warm
-// starts) can still be switched off through a zero-value-friendly
-// Options literal.
-type Toggle uint8
-
-const (
-	// DefaultToggle selects the field's documented default.
-	DefaultToggle Toggle = iota
-	// On forces the option on.
-	On
-	// Off forces the option off.
-	Off
-)
-
-// enabled resolves the toggle against the field's default.
-func (t Toggle) enabled(def bool) bool {
-	switch t {
-	case On:
-		return true
-	case Off:
-		return false
-	default:
-		return def
-	}
-}
-
 // Options configures a Solver. The zero value selects the defaults noted
 // on each field.
 type Options struct {
 	// Sampler minimizes the QUBOs. Default: a SimulatedAnnealer with
 	// 64 reads and 1000 sweeps, warm-started — the neal-equivalent
-	// configuration the paper evaluates on. With the default, Solve and
-	// SolveBatch run it only on the components that the closed-form and
-	// exact tiers cannot take (see SolveContext). Setting a Sampler makes
-	// Solve anneal the whole model unless Shard is set.
+	// configuration the paper evaluates on. With the default, Solve runs
+	// it only on the components that the closed-form and exact tiers
+	// cannot take (see SolveContext); SolveBatch runs that tier plan with
+	// any sampler. Setting a Sampler makes Solve anneal the whole
+	// presolved model. A kernel sampler's own InitialStates are given as
+	// full-model assignments; the solver maps them into each sampled
+	// model's space on a copy of the sampler.
 	Sampler Sampler
 	// MaxAttempts bounds the verify-retry loop: after a failed
 	// verification the solver re-anneals with a fresh seed. Default 4.
@@ -80,17 +55,6 @@ type Options struct {
 	// numbers are always available per call via Result.Stats; Metrics
 	// adds the registry-backed aggregate view.
 	Metrics *SolverMetrics
-	// Shard opts custom-sampler solves and Optimize into the shard tier
-	// plan: the presolved model is decomposed into the connected
-	// components of its QUBO variable-interaction graph and the
-	// components are solved as independent shards, merging the shard
-	// assignments back into one witness. One static rule places every
-	// shard: coupler-free shards are solved closed-form, shards of
-	// ≤ ExactShardVars variables by exact enumeration, the rest by the
-	// sampler. A connected model is a one-shard plan under the same
-	// rule. Solve with the default sampler and every SolveBatch run the
-	// tier plan; Optimize shards only when Shard is set.
-	Shard bool
 	// BatchWorkers bounds concurrent sampling operations (shard or
 	// whole-model) across a SolveBatch/EnumerateBatch call. Default
 	// GOMAXPROCS; remote samplers (remote.Client, remote.Pool) tolerate
@@ -108,33 +72,6 @@ type Options struct {
 	// annealer reads at these sizes. Default 16; negative disables exact
 	// shard solving. Values above anneal.MaxExactVars are clamped.
 	ExactShardVars int
-	// Presolve controls the QUBO presolve stage (qubo.Presolve) that runs
-	// between model construction and compilation: persistency fixing,
-	// pendant elimination and duplicate/complement merging shrink the
-	// model the sampler sees, and reduced-model samples are lifted back to
-	// full-model assignments exactly before decoding. On by default; Off
-	// restores today's behavior bit for bit. Presolve never applies to
-	// Enumerate, which needs the full degenerate ground manifold.
-	Presolve Toggle
-	// WarmStart controls warm-start seeding: when on (the default), each
-	// sampling operation on a kernel sampler (simulated annealing,
-	// parallel tempering, tabu) offers greedy-descent and
-	// baseline-propagation states (anneal.GreedySeeds) as initial states,
-	// so a fraction of reads polishes structured starts instead of
-	// cooling from random ones. Samplers without warm-start support
-	// (remote clients, custom samplers) are used unchanged. Off restores
-	// today's behavior bit for bit. Never applies to Enumerate.
-	WarmStart Toggle
-	// HardWeight overrides the automatic weight-gap scaling of
-	// Solver.Optimize: the multiplier M applied to every hard-constraint
-	// penalty before soft objective terms are layered on. 0 (the
-	// default) derives M from the soft bundle's total energy span and
-	// the hard model's minimum violation granularity so that no
-	// combination of soft rewards can buy a hard violation. Set it only
-	// when the automatic bound is provably looser than your encoding
-	// needs (it grows coefficient ratios, which costs annealer
-	// resolution).
-	HardWeight float64
 }
 
 // warmSeedCount is how many warm-start states the solver derives per
@@ -150,7 +87,7 @@ type Solver struct {
 	// gate, when non-nil, bounds concurrent sampling operations; the
 	// batch layer installs it on a per-batch solver copy so a batch of
 	// hundreds of constraints keeps at most BatchWorkers samplers in
-	// flight.
+	// flight. A gated solver runs the shard tier plan with any sampler.
 	gate chan struct{}
 }
 
@@ -243,14 +180,13 @@ func (s *Solver) Solve(c Constraint) (*Result, error) {
 }
 
 // SolveContext runs the SMT loop on one constraint under ctx. The
-// model is presolved first; with the default sampler (or Options.Shard)
-// it is then solved by the shard tier plan — coupler-free components
-// closed-form, components of ≤ ExactShardVars variables by exact
-// enumeration, larger ones by the configured sampler — and otherwise
-// whole by the configured sampler. The context is threaded
-// into every sampling call: context-aware samplers (all module samplers
-// and the remote client) abort mid-run, so a deadline bounds the whole
-// solve including retries.
+// model is presolved first. With the default sampler it is then solved
+// by the shard tier plan — coupler-free components closed-form,
+// components of ≤ ExactShardVars variables by exact enumeration, larger
+// ones by the sampler — and with a custom Sampler whole. The context is
+// threaded into every sampling call: context-aware samplers (all module
+// samplers and the remote client) abort mid-run, so a deadline bounds
+// the whole solve including retries.
 func (s *Solver) SolveContext(ctx context.Context, c Constraint) (*Result, error) {
 	var st SolveStats
 	res, err := s.solveContext(ctx, c, &st)
@@ -287,29 +223,23 @@ func examineCandidate(c Constraint, x []qubo.Bit) (Witness, verdict, error) {
 	return w, verified, nil
 }
 
-// presolve runs the QUBO presolve stage on model when enabled, recording
-// stage stats. It returns the model the sampler should see and the
-// reduction to lift samples back through (nil when presolve is off or
-// eliminated nothing, so downstream behavior — compile-cache keys
-// included — is bit-identical to a presolve-free solve).
-func (s *Solver) presolve(model *qubo.Model, st *SolveStats) (*qubo.Model, *qubo.Reduction) {
-	return s.presolveProtected(model, nil, st)
-}
-
-// presolveProtected is presolve with a protection mask: the optimize
-// path passes the set of variables carrying objective mass so fixing
-// and folding only fire on variables the objective does not grade (see
-// qubo.PresolveProtected).
-func (s *Solver) presolveProtected(model *qubo.Model, protected []bool, st *SolveStats) (*qubo.Model, *qubo.Reduction) {
-	if !s.opts.Presolve.enabled(true) {
-		return model, nil
-	}
+// presolve runs the QUBO presolve stage on model, recording stage
+// stats. protected, when non-nil, marks the variables fixing and
+// folding must leave alone (the optimize path protects every variable
+// carrying objective mass; see qubo.PresolveProtected). It returns the
+// model the sampler should see and the reduction to lift samples back
+// through (nil when presolve eliminated nothing, so downstream behavior
+// — compile-cache keys included — is that of the unreduced model).
+func presolve(model *qubo.Model, protected []bool, st *SolveStats) (*qubo.Model, *qubo.Reduction) {
 	phase := time.Now()
 	r := qubo.PresolveProtected(model, protected)
 	st.Presolve += time.Since(phase)
 	st.PresolveRounds += r.Stats.Rounds
 	st.PresolveEliminated += r.Eliminated()
-	st.PresolveRatio = r.Ratio()
+	st.presolveVars += r.FullN
+	if st.presolveVars > 0 {
+		st.PresolveRatio = float64(st.PresolveEliminated) / float64(st.presolveVars)
+	}
 	if !r.Reduced() {
 		return model, nil
 	}
@@ -328,68 +258,90 @@ func liftBits(red *qubo.Reduction, x []qubo.Bit) []qubo.Bit {
 	return red.Lift(x)
 }
 
-// warmSeeds derives warm-start states for a compiled model when warm
-// starts are enabled: greedy descents from the all-zeros corner, the
-// baseline-propagation state and a few random starts (anneal.GreedySeeds).
+// restrict returns the assignment's values at vars, in order.
+func restrict(x []qubo.Bit, vars []int) []qubo.Bit {
+	local := make([]qubo.Bit, len(vars))
+	for k, g := range vars {
+		local[k] = x[g]
+	}
+	return local
+}
+
+// warmSeeds derives warm-start states for a compiled model: greedy
+// descents from the all-zeros corner, the baseline-propagation state and
+// a few random starts (anneal.GreedySeeds).
 func (s *Solver) warmSeeds(compiled *qubo.Compiled) [][]qubo.Bit {
-	if !s.opts.WarmStart.enabled(true) || compiled.N == 0 {
+	if compiled.N == 0 {
 		return nil
 	}
 	return anneal.GreedySeeds(compiled, warmSeedCount, s.opts.Seed)
 }
 
-// supportsWarmStart reports whether the solver can install warm-start
-// states on sampler: it must be one of the kernel samplers (simulated
-// annealing, parallel tempering, tabu) without user-set initial states.
-// Remote clients, custom implementations, and the exact and reverse
-// annealers are used unchanged.
-func supportsWarmStart(sampler Sampler) bool {
+// ownStates returns the InitialStates of a kernel sampler (simulated
+// annealing, parallel tempering, tabu; nil, the default annealer, is
+// one without states); kernel reports whether sampler is one. Remote
+// clients, custom implementations, and the exact and reverse annealers
+// take no states from the solver.
+func ownStates(sampler Sampler) (states [][]qubo.Bit, kernel bool) {
 	switch sa := sampler.(type) {
+	case nil:
+		return nil, true
 	case *anneal.SimulatedAnnealer:
-		return sa.InitialStates == nil
+		return sa.InitialStates, true
 	case *anneal.ParallelTempering:
-		return sa.InitialStates == nil
+		return sa.InitialStates, true
 	case *anneal.TabuSampler:
-		return sa.InitialStates == nil
+		return sa.InitialStates, true
 	}
-	return false
+	return nil, false
 }
 
-// warmSampler installs warm-start states on a copy of sampler when
-// supportsWarmStart allows it; otherwise the sampler is returned
-// unchanged.
-func warmSampler(sampler Sampler, seeds [][]qubo.Bit) Sampler {
-	if len(seeds) == 0 || !supportsWarmStart(sampler) {
+// withStates installs initial states on a copy of a kernel sampler; an
+// empty state list or any other sampler returns sampler unchanged.
+func withStates(sampler Sampler, states [][]qubo.Bit) Sampler {
+	if len(states) == 0 {
 		return sampler
 	}
 	switch sa := sampler.(type) {
 	case *anneal.SimulatedAnnealer:
 		cp := *sa
-		cp.InitialStates = seeds
+		cp.InitialStates = states
 		return &cp
 	case *anneal.ParallelTempering:
 		cp := *sa
-		cp.InitialStates = seeds
+		cp.InitialStates = states
 		return &cp
 	case *anneal.TabuSampler:
 		cp := *sa
-		cp.InitialStates = seeds
+		cp.InitialStates = states
 		return &cp
 	}
 	return sampler
 }
 
-// warmable reports whether the configured sampler takes warm-start
-// states (see supportsWarmStart); the default annealer does.
-func (s *Solver) warmable() bool {
-	return s.opts.Sampler == nil || supportsWarmStart(s.opts.Sampler)
-}
-
-// tierPlan reports whether Solve runs the shard tier plan: always with
-// the default sampler, and with a custom Sampler when Options.Shard opts
-// in.
-func (s *Solver) tierPlan() bool {
-	return s.opts.Shard || s.opts.Sampler == nil
+// entryStates derives the initial states of a sampled entry. A kernel
+// sampler without states of its own gets the solver's warm-start seeds
+// (warm). One with its own InitialStates gets those: every state as
+// wide as the full model (fullN variables) mapped into the entry's
+// space by toEntry, states of any other width unchanged, so the sampler
+// still reports the mismatch. Other samplers get none.
+func (s *Solver) entryStates(compiled *qubo.Compiled, fullN int, toEntry func([]qubo.Bit) []qubo.Bit) (states [][]qubo.Bit, warm bool) {
+	own, kernel := ownStates(s.opts.Sampler)
+	if !kernel {
+		return nil, false
+	}
+	if own == nil {
+		states = s.warmSeeds(compiled)
+		return states, len(states) > 0
+	}
+	states = make([][]qubo.Bit, len(own))
+	for k, x := range own {
+		states[k] = x
+		if len(x) == fullN {
+			states[k] = toEntry(x)
+		}
+	}
+	return states, false
 }
 
 func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats) (*Result, error) {
@@ -401,8 +353,8 @@ func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats)
 	// Presolve before sharding: fixing and folding delete couplers, so a
 	// connected interaction graph can fall apart into components that the
 	// shard planner then solves closed-form or exactly.
-	work, red := s.presolve(model, st)
-	pl := s.newPlan(work, red, s.tierPlan(), st)
+	work, red := presolve(model, nil, st)
+	pl := s.newPlan(work, red, model.N(), st)
 	st.Compile = time.Since(start) - st.Presolve
 	acc := &firstVerified{c: c, res: Result{Vars: model.N(), Shards: max(len(pl.entries), 1)}}
 	step := func(attempt int) error { return s.sampleShards(ctx, &pl, attempt, st) }
@@ -486,7 +438,7 @@ func (s *Solver) enumerateContext(ctx context.Context, c Constraint, k int, st *
 	}
 	// Enumeration needs the full degenerate ground manifold: no presolve,
 	// no shards, no warm starts, and every sampled row is a candidate.
-	pl := s.wholePlan(model, nil, s.compileModel(model, st), nil)
+	pl := s.wholePlan(model, nil, s.compileModel(model, st))
 	st.Compile = time.Since(start)
 	// Scale attempts with the request: every attempt contributes an
 	// independent read set.

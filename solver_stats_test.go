@@ -27,12 +27,12 @@ func (r *rejectFirstChecks) Check(w Witness) error {
 
 func TestResultStatsPopulated(t *testing.T) {
 	reg := obs.NewRegistry()
-	// Presolve off: it solves Equality outright, and this test asserts
-	// the stats of a full annealing attempt (64 reads), which the
-	// explicit sampler keeps (the default Solve solves the coupler-free
-	// components closed-form).
-	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
-	res, err := s.Solve(Equality("hi"))
+	// This test asserts the stats of a full annealing attempt (64
+	// reads): the explicit sampler keeps the whole-model path, and
+	// AvoidChars survives presolve untouched (an Equality would be solved
+	// outright).
+	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
+	res, err := s.Solve(AvoidChars([]byte("tt"), 6))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -190,8 +190,8 @@ func TestPipelineResultElapsed(t *testing.T) {
 // KernelPacked false.
 func TestSolveStatsKernelCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
-	res, err := s.Solve(Equality("hi"))
+	s := NewSolver(&Options{Metrics: NewSolverMetrics(reg), Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000}})
+	res, err := s.Solve(AvoidChars([]byte("tt"), 6))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -238,8 +238,8 @@ func TestSolveStatsKernelCounters(t *testing.T) {
 	}
 
 	// The scalar reference path reports the same surface, minus Packed.
-	scalar := NewSolver(&Options{Presolve: Off, Sampler: &anneal.SimulatedAnnealer{Scalar: true}})
-	sres, err := scalar.Solve(Equality("hi"))
+	scalar := NewSolver(&Options{Sampler: &anneal.SimulatedAnnealer{Scalar: true}})
+	sres, err := scalar.Solve(AvoidChars([]byte("tt"), 6))
 	if err != nil {
 		t.Fatalf("scalar Solve: %v", err)
 	}

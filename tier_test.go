@@ -19,7 +19,7 @@ import (
 func planAndSample(t *testing.T, s *Solver, model *qubo.Model) (*plan, int) {
 	t.Helper()
 	var st SolveStats
-	pl := s.newPlan(model, nil, true, &st)
+	pl := s.newPlan(model, nil, model.N(), &st)
 	if err := s.sampleShards(context.Background(), &pl, 0, &st); err != nil {
 		t.Fatal(err)
 	}
