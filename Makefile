@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchincr benchservice servicesmoke incrsmoke optsmoke tiersmoke searchsmoke perfbench perfbenchcheck fuzz
+.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchservice servicesmoke incrsmoke optsmoke tiersmoke searchsmoke perfbench perfbenchcheck fuzz
 
 ## check: the CI gate — build, vet, race-checked tests, a 1-iteration
 ## benchmark smoke pass, the incremental push/pop smoke suite, the
@@ -74,25 +74,6 @@ benchkernel:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./... > /dev/null
 
-## benchbatch: the batch-layer acceptance numbers — 32 mixed constraints
-## solved sequentially vs as one SolveBatch (shard decomposition +
-## compile cache + bounded concurrency), recorded as BENCH_batch.json.
-benchbatch:
-	$(GO) test -run '^$$' -bench 'SequentialSolve32|SolveBatch32' -benchtime=3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_batch.json
-	@cat BENCH_batch.json
-
-## benchincr: the incremental-solving acceptance numbers — a DFS over a
-## branching path condition driven cold (full re-solve per check-sat)
-## vs through the incremental session (component memo + parent-witness
-## warm starts), recorded as BENCH_incremental.json. The speedup
-## benchmark asserts verdict-sequence equality and reports the
-## cold/incremental ratio as x_speedup; acceptance is x_speedup >= 5.
-benchincr:
-	$(GO) test -run '^$$' -bench 'BenchmarkDFS' -benchtime=3x -benchmem ./internal/harness \
-		| $(GO) run ./cmd/benchjson -o BENCH_incremental.json
-	@cat BENCH_incremental.json
-
 ## benchservice: the service-layer load benchmark — cmd/loadgen boots a
 ## self-hosted 3-backend annealer pool behind a job-API front (bounded
 ## fair queue + content-addressed model cache) and drives concurrent
@@ -150,20 +131,23 @@ perfbenchcheck:
 
 ## incrsmoke: the focused incremental gate — scope-leak regressions,
 ## the incremental session tests, the raw/presolved compile-cache audit,
-## and the plain-vs-incremental differential suite, with -race over the
-## concurrent session and interpreter tests.
+## and the reset-vs-reuse differential suite of the interpreter's one
+## check-sat path, with -race over the concurrent session and
+## interpreter tests.
 incrsmoke:
 	$(GO) test -race -run 'Incremental|ScopeRegression|CachePresolve|CacheNeverServes' . ./internal/smtlib
 
 ## fuzz: a fixed short smoke of the native Go fuzz targets for the
-## SMT-LIB front end (lexer/parser and the batch interpreter path) and
-## the remote surface (Retry-After hints, SampleRequest decode and
-## validation), so malformed input that panics the CLI or the daemon is
-## caught in CI without an open-ended fuzzing budget.
+## SMT-LIB front end (lexer/parser and the interpreter's check-sat path)
+## and the remote surface (Retry-After hints, SampleRequest decode and
+## validation, the PUT /v1/cache model upload), so malformed input that
+## panics the CLI or the daemon is caught in CI without an open-ended
+## fuzzing budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSExprs -fuzztime 5s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzParseScript -fuzztime 5s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzInterpreterBatch -fuzztime 10s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzParseRetryAfter -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzSampleRequest -fuzztime 5s ./internal/remote
+	$(GO) test -run '^$$' -fuzz FuzzCachePut -fuzztime 5s ./internal/remote
 

@@ -4,12 +4,15 @@
 //
 // Usage:
 //
-//	qsmt [-seed N] [-reads N] [-sweeps N] [-attempts N] [-batch] [file.smt2]
+//	qsmt [-seed N] [-reads N] [-sweeps N] [-attempts N] [file.smt2]
 //	qsmt -i        # interactive REPL: one command per line, errors are
 //	               # reported but do not end the session
 //
 // With no file argument (and without -i) the script is read from
-// standard input.
+// standard input. Every check-sat is incremental: a variable whose
+// assertions did not change since an earlier check-sat reuses that
+// verdict, and a changed one reuses the unchanged QUBO components of
+// earlier frames.
 //
 // Beyond plain QF_S solving, scripts may carry optimization directives:
 // (assert-soft term :weight w) adds a weighted soft constraint,
@@ -44,9 +47,6 @@ func main() {
 		sweeps        = flag.Int("sweeps", 1000, "annealer sweeps per read")
 		attempts      = flag.Int("attempts", 4, "verify-retry budget per constraint")
 		interactive   = flag.Bool("i", false, "interactive REPL mode")
-		batch         = flag.Bool("batch", false, "solve independent check-sat problems as one bounded-concurrency batch with shard decomposition")
-		incremental   = flag.Bool("incremental", false, "reuse solved QUBO components and verdicts across push/pop frames (takes precedence over -batch)")
-		workers       = flag.Int("workers", 0, "concurrent sampling operations in batch mode (0 = GOMAXPROCS; raise beyond core count for remote backends)")
 		cacheSize     = flag.Int("cache", qubo.DefaultCacheCapacity, "compiled-QUBO LRU cache capacity (0 disables)")
 		remoteURL     = flag.String("remote", "", "comma-separated base URLs of remote annealer services (see cmd/annealerd); two or more enable failover")
 		remoteRetries = flag.Int("remote-retries", remote.DefaultMaxRetries, "retries per sampling job on transient remote failures")
@@ -63,11 +63,12 @@ func main() {
 		Sweeps: *sweeps,
 		Seed:   *seed,
 	}
-	// The solver's shard tier plan (closed-form, exact enumeration, then
-	// the annealer per component) runs on its own default sampler path
-	// (Options.Sampler == nil). So the local backend drops the explicit
-	// annealer when the flags match what the solver would build anyway;
-	// custom -reads/-sweeps keep the explicit whole-model annealer.
+	// Every check-sat solves through the tier rule: closed-form
+	// components, exact enumeration up to Options.ExactShardVars, and the
+	// sampler only for larger components. The local backend drops the
+	// explicit annealer when the flags match the solver's own default;
+	// custom -reads/-sweeps, -remote and -sample-timeout keep their
+	// sampler for those larger components.
 	localDefault := *reads == 64 && *sweeps == 1000
 	if *remoteURL != "" {
 		sampler = buildRemoteSampler(*remoteURL, *reads, *sweeps, *seed, *remoteRetries)
@@ -78,18 +79,15 @@ func main() {
 		sampler = &deadlineSampler{base: sampler, timeout: *sampleTimeout}
 	}
 	opts := &qsmt.Options{
-		Sampler:      sampler,
-		MaxAttempts:  *attempts,
-		Seed:         *seed,
-		BatchWorkers: *workers,
+		Sampler:     sampler,
+		MaxAttempts: *attempts,
+		Seed:        *seed,
 	}
 	if *cacheSize > 0 {
 		opts.CompileCache = qubo.NewCache(*cacheSize)
 	}
 	solver := qsmt.NewSolver(opts)
 	interp := smtlib.NewInterpreter(solver, os.Stdout)
-	interp.Batch = *batch
-	interp.Incremental = *incremental
 
 	if *interactive {
 		repl(interp)

@@ -46,7 +46,7 @@ type componentEntry struct {
 // IncrementalSession solves a sequence of related constraints, reusing
 // solved QUBO components across queries and warm-starting touched
 // components from the parent frame's witness. It is the engine behind
-// the smtlib interpreter's incremental mode; it can also be driven
+// every check-sat of the smtlib interpreter; it can also be driven
 // directly for DFS-style symbolic execution loops.
 //
 // Keys name lineages, not constraints: two Solve calls with the same key

@@ -52,6 +52,13 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// MaxReadVars bounds the variable count a model text may declare. The
+// header alone sizes the model's arrays, and the text arrives from
+// untrusted clients (annealerd's /v1/sample and /v1/cache bodies), so an
+// unbounded count lets a 15-byte body allocate gigabytes. 1<<20 is
+// about the number of linear terms a 16 MiB body can hold.
+const MaxReadVars = 1 << 20
+
 // Read parses a model previously written by WriteTo.
 func Read(r io.Reader) (*Model, error) {
 	sc := bufio.NewScanner(r)
@@ -71,7 +78,7 @@ func Read(r io.Reader) (*Model, error) {
 				return nil, fmt.Errorf("qubo: line %d: malformed header", line)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > MaxReadVars {
 				return nil, fmt.Errorf("qubo: line %d: bad variable count %q", line, fields[1])
 			}
 			m = New(n)

@@ -261,6 +261,8 @@ func TestReadErrors(t *testing.T) {
 		"qubo 2\nq 0 1\n",      // missing value
 		"qubo 2\nwat 1 2 3\n",  // unknown record
 		"qubo 2\noffset abc\n", // bad offset
+		"qubo 1048577\n",       // more than MaxReadVars
+		"qubo 99999999999\n",   // would allocate ~800 GB
 	}
 	for _, s := range bad {
 		if _, err := Read(strings.NewReader(s)); err == nil {

@@ -106,19 +106,14 @@ func (c *ModelCAS) Len() int {
 	return len(c.entries)
 }
 
-// AddModel parses, fingerprints and stores a model text, returning its
-// fingerprint. This is the ingestion path shared by the PUT handler and
-// local pre-seeding (a front-end warming its own cache before
-// fingerprint-only fan-out).
-func (c *ModelCAS) AddModel(text string) (qubo.Fingerprint, *qubo.Compiled, error) {
+// parseModel parses, fingerprints and compiles a model text without
+// storing it, so a caller can check the fingerprint first.
+func parseModel(text string) (qubo.Fingerprint, *qubo.Compiled, error) {
 	model, err := qubo.Read(strings.NewReader(text))
 	if err != nil {
 		return qubo.Fingerprint{}, nil, fmt.Errorf("remote: malformed model: %w", err)
 	}
-	fp := qubo.FingerprintOf(model)
-	compiled := model.Compile()
-	c.put(fp, text, compiled)
-	return fp, compiled, nil
+	return qubo.FingerprintOf(model), model.Compile(), nil
 }
 
 // handleCachePut ingests a model body under PUT /v1/cache/{fp}. The
@@ -140,7 +135,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "model exceeds limit")
 		return
 	}
-	fp, _, err := s.CAS.AddModel(string(body))
+	fp, compiled, err := parseModel(string(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -150,6 +145,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("content fingerprint %s does not match path %s", fp, claimed))
 		return
 	}
+	s.CAS.put(fp, string(body), compiled)
 	w.WriteHeader(http.StatusCreated)
 }
 
@@ -200,10 +196,11 @@ func (s *Server) fillFromPeers(ctx context.Context, fp qubo.Fingerprint) *qubo.C
 		if err != nil || resp.StatusCode != http.StatusOK || len(body) > MaxModelBytes {
 			continue
 		}
-		got, compiled, err := s.CAS.AddModel(string(body))
+		got, compiled, err := parseModel(string(body))
 		if err != nil || got != fp {
-			continue // peer served garbage; AddModel stored it under its real fp
+			continue // peer served garbage
 		}
+		s.CAS.put(fp, string(body), compiled)
 		return compiled
 	}
 	return nil

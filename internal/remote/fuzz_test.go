@@ -3,9 +3,14 @@ package remote
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"qsmt/internal/qubo"
 )
 
 // FuzzParseRetryAfter checks the backoff-hint parser on arbitrary header
@@ -58,6 +63,47 @@ func FuzzSampleRequest(f *testing.F) {
 		}
 		if req.QUBO == "" && req.Fingerprint == "" {
 			t.Fatalf("accepted a request that names no model: %s", body)
+		}
+	})
+}
+
+// FuzzCachePut checks the model-upload gate, PUT /v1/cache/{fp}, on
+// arbitrary claimed fingerprints and bodies: a 201 means a GET on the
+// claimed fingerprint returns the body, and any other status stores
+// nothing.
+func FuzzCachePut(f *testing.F) {
+	const text = "qubo 2\nl 0 -1\nl 1 -1\n"
+	model, err := qubo.Read(strings.NewReader(text))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp := qubo.FingerprintOf(model).String()
+	f.Add(fp, text)
+	wrong := fp[:len(fp)-1] + "0"
+	if strings.HasSuffix(fp, "0") {
+		wrong = fp[:len(fp)-1] + "1"
+	}
+	f.Add(wrong, text)
+	f.Add(fp, "qubo 2\nl 0 -1\n")
+	f.Add(fp, "qubo 99999999999\n")
+	f.Add("qf1-not-a-fingerprint", text)
+	f.Add("", "")
+	f.Fuzz(func(t *testing.T, claimed, body string) {
+		srv := &Server{CAS: NewModelCAS(4)}
+		h := srv.Handler()
+		path := "/v1/cache/" + url.PathEscape(claimed)
+		put := httptest.NewRecorder()
+		h.ServeHTTP(put, httptest.NewRequest(http.MethodPut, path, strings.NewReader(body)))
+		if put.Code != http.StatusCreated {
+			if n := srv.CAS.Len(); n != 0 {
+				t.Fatalf("PUT %q = %d, yet the cache stored %d models", claimed, put.Code, n)
+			}
+			return
+		}
+		get := httptest.NewRecorder()
+		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, path, nil))
+		if get.Code != http.StatusOK || get.Body.String() != body {
+			t.Fatalf("PUT %q = 201, but GET = %d %q, want 200 with the body", claimed, get.Code, get.Body.String())
 		}
 	})
 }

@@ -372,6 +372,13 @@ func TestCacheEndpoints(t *testing.T) {
 	if resp := put("/v1/cache/"+wrong, text.String()); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched PUT = %d, want 400", resp.StatusCode)
 	}
+	// …and stores nothing, under either fingerprint.
+	if n := srv.CAS.Len(); n != 0 {
+		t.Fatalf("CAS holds %d models after a rejected PUT, want 0", n)
+	}
+	if resp, err := http.Head(hts.URL + "/v1/cache/" + fp); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("HEAD on the body's fingerprint after a rejected PUT = %v %v, want 404", resp, err)
+	}
 	// Correct upload lands…
 	if resp := put("/v1/cache/"+fp, text.String()); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT = %d, want 201", resp.StatusCode)

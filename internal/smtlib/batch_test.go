@@ -8,13 +8,12 @@ import (
 	"qsmt/internal/qubo"
 )
 
-// Batch mode must produce the same model as the sequential path: plain
-// constraints and single-stage pipelines go through SolveBatch, the
-// multi-stage pipeline (b, with its str.rev dependency on a literal)
-// keeps the stage-by-stage path.
+// A mixed multi-variable check-sat on the one path: single-stage
+// pipelines and the integer problem solve through the incremental
+// session, the multi-stage pipeline (b, with its str.rev dependency on a
+// literal) keeps the stage-by-stage run, all against one compile cache.
 func TestBatchCheckSat(t *testing.T) {
 	it, out := testInterp(61)
-	it.Batch = true
 	it.Solver = qsmt.NewSolver(&qsmt.Options{
 		Seed:         61,
 		CompileCache: qubo.NewCache(64),
@@ -50,12 +49,11 @@ func TestBatchCheckSat(t *testing.T) {
 	}
 }
 
-// An unsat member must turn the whole verdict unsat in batch mode too,
-// deterministically across runs.
+// An unsat member among several variables must turn the whole verdict
+// unsat, deterministically across runs.
 func TestBatchCheckSatUnsat(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		it, _ := testInterp(62)
-		it.Batch = true
 		err := it.Execute(`
 			(declare-const a String)
 			(assert (= a "ok"))

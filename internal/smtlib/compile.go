@@ -16,15 +16,15 @@ type Problem struct {
 	Pipeline *qsmt.Pipeline  // non-nil for string variables
 	Single   qsmt.Constraint // non-nil for integer variables
 	// Asserts holds the assertion nodes that produced this problem, in
-	// assertion order. The interpreter's incremental mode keys its
-	// per-problem memo on their rendered forms: a push/pop delta that
-	// leaves a variable's assertion group untouched leaves its key — and
-	// therefore its memoized verdict — untouched.
+	// assertion order. The interpreter keys its per-problem memo on
+	// their rendered forms: a push/pop delta that leaves a variable's
+	// assertion group untouched leaves its key — and therefore its
+	// memoized verdict — untouched.
 	Asserts []*Node
 	// Soft holds the compiled optimization directives for this variable
 	// — (minimize ...) objectives first, then (assert-soft ...) terms at
 	// their weights. A non-empty Soft routes the problem through
-	// Solver.Optimize instead of Solve/Run.
+	// Solver.Optimize instead of the incremental path.
 	Soft []qsmt.SoftConstraint
 	// Objectives holds the (minimize ...) source terms in source order,
 	// for (get-objectives) rendering; a str.len objective's value is the

@@ -10,13 +10,14 @@ import (
 	"testing"
 )
 
-// Differential tests for incremental mode: the same script (or the same
-// interactive DFS) replayed through a plain interpreter and an
-// incremental one must produce identical check-sat verdict sequences,
-// and every sat model the incremental path reports must satisfy the
-// assertions live at that check-sat. The two interpreters share sampler
-// configuration and seed, so any divergence is a reuse bug, not
-// annealing noise.
+// Differential tests for incremental reuse: the same script (or the same
+// interactive DFS) replayed through a plain interpreter — one whose
+// incremental caches are reset before every check-sat, so nothing is
+// reused across check-sats — and a reusing one must produce identical
+// check-sat verdict sequences, and every sat model the reusing path
+// reports must satisfy the assertions live at that check-sat. The two
+// interpreters share sampler configuration and seed, so any divergence
+// is a reuse bug, not annealing noise.
 
 // verdictLines extracts the check-sat verdict lines from interpreter
 // output, in order.
@@ -29,6 +30,26 @@ func verdictLines(out string) []string {
 		}
 	}
 	return vs
+}
+
+// executeResetting runs src one top-level command per Execute call,
+// dropping the interpreter's incremental caches before each, so no
+// check-sat reuses the work of an earlier one.
+func executeResetting(it *Interpreter, src string) error {
+	nodes, err := ParseSExprs(src)
+	if err != nil {
+		return err
+	}
+	for _, n := range nodes {
+		if n.Head() == "exit" {
+			return nil
+		}
+		it.ResetIncremental()
+		if err := it.Execute(n.String()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestIncrementalCorpusDifferential replays every testdata benchmark
@@ -52,11 +73,10 @@ func TestIncrementalCorpusDifferential(t *testing.T) {
 			}
 
 			plain, plainOut := testInterp(77)
-			if err := plain.Execute(string(src)); err != nil {
+			if err := executeResetting(plain, string(src)); err != nil {
 				t.Fatalf("plain execute: %v", err)
 			}
 			incr, incrOut := testInterp(77)
-			incr.Incremental = true
 			if err := incr.Execute(string(src)); err != nil {
 				t.Fatalf("incremental execute: %v", err)
 			}
@@ -103,6 +123,7 @@ type dfsHarness struct {
 
 func (h *dfsHarness) exec(src string) {
 	h.t.Helper()
+	h.plain.ResetIncremental()
 	if err := h.plain.Execute(src); err != nil {
 		h.t.Fatalf("plain: %v (src %s)", err, src)
 	}
@@ -163,7 +184,6 @@ func TestIncrementalRandomizedDFSDifferential(t *testing.T) {
 	const length = 8
 	plain, _ := testInterp(88)
 	incr, _ := testInterp(88)
-	incr.Incremental = true
 	h := &dfsHarness{t: t, plain: plain, incr: incr}
 
 	base := fmt.Sprintf(`
@@ -216,10 +236,11 @@ func TestIncrementalRandomizedDFSDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalInterpretersConcurrent runs several incremental
-// interpreters (sharing nothing) plus one Parallel+Incremental
-// interpreter concurrently; under -race this is the smtlib-level data
-// race check for incremental mode.
+// TestIncrementalInterpretersConcurrent runs several interpreters
+// (sharing nothing) concurrently, one of them with several variables per
+// check-sat; under -race this is the smtlib-level data race check for
+// incremental reuse. Concurrent use of one session is covered by the
+// root package's TestIncrementalSessionConcurrent.
 func TestIncrementalInterpretersConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -228,7 +249,6 @@ func TestIncrementalInterpretersConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			it, _ := testInterp(int64(60 + g))
-			it.Incremental = true
 			errs[g] = it.Execute(fmt.Sprintf(`
 				(declare-const x String)
 				(assert (= x (str.rev x)))
@@ -246,8 +266,6 @@ func TestIncrementalInterpretersConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		it, _ := testInterp(66)
-		it.Incremental = true
-		it.Parallel = true
 		errs[2] = it.Execute(`
 			(declare-const a String)
 			(assert (= a "aa"))

@@ -81,11 +81,11 @@ func longDigitRun(src string) bool {
 	return false
 }
 
-// FuzzInterpreterBatch drives the full batch CLI path — parse, compile,
-// batch-solve, print — on fuzzed scripts: whatever the front end
-// accepts must execute without panicking (this is the `qsmt -batch`
-// code path, where a crash takes down the whole batch). The solver
-// budget is tiny because the property is "no panic", not "sat".
+// FuzzInterpreterBatch drives the full CLI path — parse, compile,
+// incremental solve, print — on fuzzed scripts: whatever the front end
+// accepts must execute without panicking (a crash takes down the whole
+// session). The solver budget is tiny because the property is
+// "no panic", not "sat".
 func FuzzInterpreterBatch(f *testing.F) {
 	seeds := []string{
 		`(declare-const x String)(assert (= x "a"))(check-sat)(get-model)`,
@@ -110,7 +110,6 @@ func FuzzInterpreterBatch(f *testing.F) {
 			Seed:        1,
 		})
 		it := NewInterpreter(solver, io.Discard)
-		it.Batch = true
 		_ = it.Execute(src) // errors are fine; a panic is the bug
 	})
 }

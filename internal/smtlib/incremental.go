@@ -43,22 +43,10 @@ type memoResult struct {
 	err error
 }
 
-// ensureSession returns the interpreter's incremental session, creating
-// it on first use. Callers hold no lock; creation races are benign in
-// principle but excluded by incrMu for determinism.
-func (it *Interpreter) ensureSession() *qsmt.IncrementalSession {
-	it.incrMu.Lock()
-	defer it.incrMu.Unlock()
-	if it.session == nil {
-		it.session = it.Solver.NewIncrementalSession()
-	}
-	return it.session
-}
-
 // renderNode returns the canonical rendered form of an assertion node,
 // cached by pointer identity — parse trees are immutable after parsing,
 // so a node renders once no matter how many check-sats its scope
-// survives. Caller must hold incrMu.
+// survives.
 func (it *Interpreter) renderNode(a *Node) string {
 	if s, ok := it.renderMemo[a]; ok {
 		return s
@@ -75,8 +63,6 @@ func (it *Interpreter) renderNode(a *Node) string {
 // rendered assertion group in assertion order. Two check-sats whose
 // deltas leave a variable's assertions untouched produce the same key.
 func (it *Interpreter) problemKey(p Problem) string {
-	it.incrMu.Lock()
-	defer it.incrMu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\x00%d", p.Var, p.Sort)
 	for _, a := range p.Asserts {
@@ -86,70 +72,57 @@ func (it *Interpreter) problemKey(p Problem) string {
 	return b.String()
 }
 
-// memoLookup returns the memoized outcome for key, if any.
-func (it *Interpreter) memoLookup(key string) (memoResult, bool) {
-	it.incrMu.Lock()
-	defer it.incrMu.Unlock()
-	r, ok := it.probMemo[key]
-	return r, ok
-}
-
 // memoStore records an outcome, evicting FIFO beyond the cap.
 func (it *Interpreter) memoStore(key string, r memoResult) {
-	it.incrMu.Lock()
-	defer it.incrMu.Unlock()
 	if it.probMemo == nil {
 		it.probMemo = make(map[string]memoResult)
 	}
-	if _, ok := it.probMemo[key]; ok {
-		it.probMemo[key] = r
-		return
+	if _, ok := it.probMemo[key]; !ok {
+		it.probOrder = append(it.probOrder, key)
 	}
 	it.probMemo[key] = r
-	it.probOrder = append(it.probOrder, key)
 	for len(it.probOrder) > probMemoCap {
 		delete(it.probMemo, it.probOrder[0])
 		it.probOrder = it.probOrder[1:]
 	}
 }
 
-// solveIncremental resolves one per-variable problem through the
-// incremental machinery: memo hit, or a session solve (single-stage
-// pipelines and integer problems), or a sequential pipeline run
-// (multi-stage pipelines keep their stage-to-stage data dependency).
-// Outcomes — values and errors alike — are memoized under the problem's
-// assertion-set key.
+// solveIncremental resolves one per-variable problem: memo hit, or a
+// session solve (single-stage pipelines and integer problems), or a
+// sequential pipeline run (multi-stage pipelines keep their
+// stage-to-stage data dependency). Outcomes — values and errors alike —
+// are memoized under the problem's assertion-set key.
 func (it *Interpreter) solveIncremental(p Problem) (Value, error) {
 	key := it.problemKey(p)
-	if r, ok := it.memoLookup(key); ok {
+	if r, ok := it.probMemo[key]; ok {
 		return r.val, r.err
 	}
-	ctx := context.Background()
 	var r memoResult
-	switch {
-	case p.Pipeline != nil && p.Pipeline.Len() == 1:
-		res, err := it.ensureSession().Solve(ctx, p.Var, p.Pipeline.Generator())
-		switch {
-		case err != nil:
-			r.err = err
-		case res.Witness.Kind != qsmt.WitnessString:
-			r.err = fmt.Errorf("smtlib: %s produced a non-string witness", p.Var)
-		default:
-			r.val = Value{Sort: SortString, Str: res.Witness.Str}
-		}
-	case p.Pipeline != nil:
+	if p.Pipeline != nil && p.Pipeline.Len() > 1 {
 		res, err := it.Solver.Run(p.Pipeline)
 		if err != nil {
 			r.err = err
 		} else {
 			r.val = Value{Sort: SortString, Str: res.Output}
 		}
-	case p.Single != nil:
-		res, err := it.ensureSession().Solve(ctx, p.Var, p.Single)
-		if err != nil {
+	} else {
+		if it.session == nil {
+			it.session = it.Solver.NewIncrementalSession()
+		}
+		c := p.Single
+		if p.Pipeline != nil {
+			c = p.Pipeline.Generator()
+		}
+		res, err := it.session.Solve(context.Background(), p.Var, c)
+		switch {
+		case err != nil:
 			r.err = err
-		} else {
+		case p.Single != nil:
 			r.val = Value{Sort: SortInt, Int: res.Witness.Index}
+		case res.Witness.Kind != qsmt.WitnessString:
+			r.err = fmt.Errorf("smtlib: %s produced a non-string witness", p.Var)
+		default:
+			r.val = Value{Sort: SortString, Str: res.Witness.Str}
 		}
 	}
 	it.memoStore(key, r)
@@ -161,8 +134,6 @@ func (it *Interpreter) solveIncremental(p Problem) (Value, error) {
 // witnesses). Assertion state is untouched. Useful when a driver reuses
 // one interpreter across unrelated workloads.
 func (it *Interpreter) ResetIncremental() {
-	it.incrMu.Lock()
-	defer it.incrMu.Unlock()
 	it.probMemo = nil
 	it.probOrder = nil
 	it.renderMemo = nil

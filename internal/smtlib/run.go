@@ -1,13 +1,11 @@
 package smtlib
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"qsmt"
 )
@@ -40,43 +38,26 @@ type Value struct {
 	Int  int
 }
 
-// Interpreter executes SMT-LIB scripts against a qsmt solver. It
-// supports incremental solving: push/pop maintain a stack of assertion
-// scopes, and each check-sat compiles the assertions visible at that
-// point.
+// Interpreter executes SMT-LIB scripts against a qsmt solver. Push/pop
+// maintain a stack of assertion scopes, and each check-sat compiles the
+// assertions visible at that point and solves them incrementally: a
+// per-variable problem whose assertion group is unchanged replays its
+// memoized verdict, and a changed one solves through one
+// qsmt.IncrementalSession that reuses unchanged QUBO components across
+// frames. An Interpreter is not safe for concurrent use.
 type Interpreter struct {
 	Solver *qsmt.Solver
 	Out    io.Writer
-	// Parallel solves independent variables concurrently at check-sat.
-	// Each declared variable's constraints form an isolated QUBO
-	// problem, so a multi-variable script fans out across cores. Enable
-	// only when the solver's sampler is safe for concurrent use (the
-	// built-in annealers are; the topology-embedding sampler records
-	// per-call statistics and is not).
-	Parallel bool
-	// Batch routes check-sat through Solver.SolveBatch: all batchable
-	// problems — plain constraints and single-stage pipelines — solve as
-	// one batch (bounded workers, shard decomposition, compile-cache
-	// reuse), while multi-stage pipelines keep their sequential data
-	// dependency and run stage by stage. Implies the same concurrency
-	// caveat as Parallel.
-	Batch bool
-	// Incremental makes push/pop traffic actually incremental: each
-	// per-variable problem is memoized under its assertion-set key, so a
-	// check-sat after a pop (or any delta leaving a variable's assertions
-	// unchanged) reuses the earlier verdict outright, and changed
-	// problems solve through a qsmt.IncrementalSession — unchanged QUBO
-	// components are reused across frames and touched components are
-	// warm-started from the parent frame's witness. Takes precedence over
-	// Batch; composes with Parallel.
+	// Incremental is ignored.
+	//
+	// Deprecated: every check-sat is incremental; kept only because
+	// perfbench sets it.
 	Incremental bool
 
-	// Incremental-mode state: the session (lazily created), the
-	// per-problem verdict memo with its FIFO insertion order, and the
-	// per-node render cache backing the memo keys. Guarded by incrMu so
-	// Parallel check-sats can share them.
+	// Incremental state: the session (lazily created), the per-problem
+	// verdict memo with its FIFO insertion order, and the per-node render
+	// cache backing the memo keys.
 	session    *qsmt.IncrementalSession
-	incrMu     sync.Mutex
 	probMemo   map[string]memoResult
 	probOrder  []string
 	renderMemo map[*Node]string
@@ -126,7 +107,14 @@ func NewInterpreter(solver *qsmt.Solver, out io.Writer) *Interpreter {
 // across Execute calls, so an interactive front end can feed commands
 // incrementally.
 func (it *Interpreter) Execute(src string) error {
-	sc, err := ParseScript(src)
+	var live map[string]*Node
+	for _, def := range it.defines {
+		if live == nil {
+			live = make(map[string]*Node, len(it.defines))
+		}
+		live[def.Decl.Name] = def.Assert
+	}
+	sc, err := parseScript(src, live)
 	if err != nil {
 		return err
 	}
@@ -142,6 +130,11 @@ func (it *Interpreter) Execute(src string) error {
 		case ItemAssert:
 			it.asserts = append(it.asserts, item.Assert)
 		case ItemDefine:
+			for _, d := range it.decls {
+				if d.Name == item.Decl.Name {
+					return fmt.Errorf("smtlib: define-fun %s collides with a declaration", d.Name)
+				}
+			}
 			it.defines = append(it.defines, item)
 		case ItemSoft:
 			it.softs = append(it.softs, SoftAssert{Term: item.Assert, Weight: item.Weight})
@@ -243,113 +236,26 @@ func (it *Interpreter) checkSat() error {
 		it.status = StatusUnsat
 		return nil
 	}
-	type solved struct {
-		val Value
-		err error
-	}
-	results := make([]solved, len(comp.Problems))
-	solveOne := func(i int) {
-		p := comp.Problems[i]
+	// One problem per variable, in declaration order; the first failure
+	// decides the verdict.
+	for _, p := range comp.Problems {
+		var val Value
 		if len(p.Soft) > 0 {
-			// Soft-carrying problems route through the optimizer; they
-			// bypass the incremental memo (a verdict cached without the
-			// objective would be wrong to reuse, and an objective value
-			// is not a verdict).
-			results[i].val, results[i].err = it.solveOptimize(p)
-			return
+			// Soft-carrying problems bypass the verdict memo: a verdict
+			// cached without the objective would be wrong to reuse, and
+			// an objective value is not a verdict.
+			val, err = it.solveOptimize(p)
+		} else {
+			val, err = it.solveIncremental(p)
 		}
-		if it.Incremental {
-			results[i].val, results[i].err = it.solveIncremental(p)
-			return
+		if err != nil {
+			return it.classify(err)
 		}
-		switch {
-		case p.Pipeline != nil:
-			res, err := it.Solver.Run(p.Pipeline)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].val = Value{Sort: SortString, Str: res.Output}
-		case p.Single != nil:
-			res, err := it.Solver.Solve(p.Single)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].val = Value{Sort: SortInt, Int: res.Witness.Index}
-		}
-	}
-	// rest indexes the problems not claimed by the batch path below.
-	rest := make([]int, 0, len(comp.Problems))
-	if it.Batch && !it.Incremental {
-		var batchIdx []int
-		var cs []qsmt.Constraint
-		for i, p := range comp.Problems {
-			switch {
-			case len(p.Soft) > 0:
-				// Optimize problems have no batch path; solve them
-				// individually via solveOne's optimizer route.
-				rest = append(rest, i)
-			case p.Single != nil:
-				batchIdx = append(batchIdx, i)
-				cs = append(cs, p.Single)
-			case p.Pipeline != nil && p.Pipeline.Len() == 1:
-				// A single-stage pipeline is a plain constraint; route it
-				// through the batch instead of a one-stage Run.
-				batchIdx = append(batchIdx, i)
-				cs = append(cs, p.Pipeline.Generator())
-			default:
-				rest = append(rest, i)
-			}
-		}
-		if len(cs) > 0 {
-			br, _ := it.Solver.SolveBatch(context.Background(), cs)
-			for k, i := range batchIdx {
-				item := br.Items[k]
-				p := comp.Problems[i]
-				switch {
-				case item.Err != nil:
-					results[i].err = item.Err
-				case p.Single != nil:
-					results[i].val = Value{Sort: SortInt, Int: item.Result.Witness.Index}
-				case item.Result.Witness.Kind != qsmt.WitnessString:
-					results[i].err = fmt.Errorf("smtlib: %s produced a non-string witness", p.Var)
-				default:
-					results[i].val = Value{Sort: SortString, Str: item.Result.Witness.Str}
-				}
-			}
-		}
-	} else {
-		for i := range comp.Problems {
-			rest = append(rest, i)
-		}
-	}
-	if it.Parallel && len(rest) > 1 {
-		var wg sync.WaitGroup
-		for _, i := range rest {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				solveOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for _, i := range rest {
-			solveOne(i)
-		}
-	}
-	// Process outcomes in declaration order so verdicts are
-	// deterministic regardless of goroutine scheduling.
-	for i, p := range comp.Problems {
-		if results[i].err != nil {
-			return it.classify(results[i].err)
-		}
-		it.model[p.Var] = results[i].val
+		it.model[p.Var] = val
 		// Objective values report against the (already trimmed) model
 		// string: a str.len objective's value is its length.
 		for _, term := range p.Objectives {
-			it.objReport = append(it.objReport, objEntry{term: term, value: len(results[i].val.Str)})
+			it.objReport = append(it.objReport, objEntry{term: term, value: len(val.Str)})
 		}
 	}
 	// define-fun macros evaluate to concrete values for the model.

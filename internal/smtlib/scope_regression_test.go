@@ -87,3 +87,40 @@ func TestOverDeepPopAtomic(t *testing.T) {
 		t.Error("second pop should fail: the over-deep pop must not have left extra frames")
 	}
 }
+
+// Regression: a define-fun stays in scope for later Execute calls — the
+// REPL runs every command as its own Execute. Each chunk used to parse
+// with only its own macros, so the second chunk below failed with
+// "unsupported constraint form for x: (str.prefixof p x)". A macro
+// defined inside a popped scope is gone and can be defined again.
+func TestDefineFunAcrossExecute(t *testing.T) {
+	it, _ := testInterp(64)
+	exec := func(src string) {
+		t.Helper()
+		if err := it.Execute(src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+	}
+	exec(`(declare-const x String)(define-fun p () String "ab")(assert (= (str.len x) 4))`)
+	exec(`(assert (str.prefixof p x))(check-sat)`)
+	if st, _ := it.Status(); st != StatusSat || !strings.HasPrefix(it.Model()["x"].Str, "ab") {
+		t.Fatalf("status %s, x = %q; want sat with prefix \"ab\"", st, it.Model()["x"].Str)
+	}
+
+	exec(`(push)(define-fun q () String "zz")(pop)`)
+	exec(`(push)`)
+	if err := it.Execute(`(assert (str.suffixof q x))(check-sat)`); err == nil {
+		t.Error("a macro from a popped scope still expands")
+	}
+	exec(`(pop)`)
+	exec(`(define-fun q () String "cd")`)
+	exec(`(assert (str.suffixof q x))(check-sat)`)
+	if st, _ := it.Status(); st != StatusSat || it.Model()["x"].Str != "abcd" || it.Model()["q"].Str != "cd" {
+		t.Fatalf("status %s, model %v; want x = \"abcd\", q = \"cd\"", st, it.Model())
+	}
+
+	// As within one script, a macro may not take a declared name.
+	if err := it.Execute(`(define-fun x () String "zz")`); err == nil {
+		t.Error("define-fun over the declared x accepted")
+	}
+}

@@ -2,6 +2,7 @@ package smtlib
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 )
 
@@ -103,9 +104,11 @@ type Script struct {
 	Objectives []*Node
 
 	// defs holds define-fun macros, already expanded against earlier
-	// defines. Macro expansion happens at parse time, so defines are
-	// file-global here (not push/pop scoped — a documented deviation
-	// from full SMT-LIB scoping).
+	// defines. Macro expansion happens at parse time, so within one
+	// parsed text defines are global (not push/pop scoped — a
+	// documented deviation from full SMT-LIB scoping). The interpreter
+	// seeds each Execute chunk with the macros live at its start, so
+	// across chunks they follow push/pop.
 	defs map[string]*Node
 }
 
@@ -149,12 +152,18 @@ func (s *Script) DeclOf(name string) (Decl, bool) {
 
 // ParseScript parses SMT-LIB source into a Script, validating command
 // shapes but not yet compiling assertions.
-func ParseScript(src string) (*Script, error) {
+func ParseScript(src string) (*Script, error) { return parseScript(src, nil) }
+
+// parseScript is ParseScript with macros already in scope: outer (name
+// to expanded body) expands inside src until src defines the same name,
+// which shadows it. The map is not modified.
+func parseScript(src string, outer map[string]*Node) (*Script, error) {
 	nodes, err := ParseSExprs(src)
 	if err != nil {
 		return nil, err
 	}
-	sc := &Script{}
+	sc := &Script{defs: maps.Clone(outer)}
+	defined := map[string]bool{} // names src itself defines
 	addCmd := func(c Command) {
 		sc.Commands = append(sc.Commands, c)
 		sc.Items = append(sc.Items, Item{Kind: ItemCommand, Cmd: c})
@@ -211,9 +220,10 @@ func ParseScript(src string) (*Script, error) {
 			if _, dup := sc.DeclOf(args[0].Atom); dup {
 				return nil, posErr(args[0], fmt.Sprintf("define-fun %s collides with a declaration", args[0].Atom))
 			}
-			if _, dup := sc.defs[args[0].Atom]; dup {
+			if defined[args[0].Atom] {
 				return nil, posErr(args[0], fmt.Sprintf("duplicate define-fun %s", args[0].Atom))
 			}
+			defined[args[0].Atom] = true
 			body := applyDefs(args[3], sc.defs)
 			if sc.defs == nil {
 				sc.defs = map[string]*Node{}

@@ -103,8 +103,9 @@ func (p *Pipeline) add(name string, make func(string) Constraint) *Pipeline {
 func (p *Pipeline) Len() int { return 1 + len(p.stages) }
 
 // Generator returns the pipeline's stage-0 constraint. Single-stage
-// pipelines (Len() == 1) are plain constraints in disguise; the batch
-// layer uses this to route them through SolveBatch.
+// pipelines (Len() == 1) are plain constraints in disguise; the smtlib
+// interpreter uses this to solve them through an IncrementalSession or
+// Optimize.
 func (p *Pipeline) Generator() Constraint { return p.generator }
 
 // StageResult records one stage of a pipeline run.
