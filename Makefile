@@ -89,11 +89,14 @@ servicesmoke:
 	out=$$(mktemp) && $(GO) run ./cmd/loadgen -duration 5s -out $$out; status=$$?; rm -f $$out; exit $$status
 
 ## optsmoke: the focused optimize gate — the brute-force differential
-## suite, hard-constraint inviolability under adversarial weights, the
-## job-service optimize path, and the SMT-LIB assert-soft/minimize/
-## get-objectives front end.
+## suites (small mixed instances, and the tier-plan differential over
+## the benchmark's four optimize shapes), hard-constraint inviolability
+## under adversarial weights, the job-service optimize path, the
+## SMT-LIB assert-soft/minimize/get-objectives front end, and the
+## style-bias split of the hard model — under -race, since Optimize
+## samples the tier plan's sampled entries in goroutines.
 optsmoke:
-	$(GO) test -run 'Optimize|Lex|Soft|Minimize|Objectives' -count=1 . ./internal/smtlib
+	$(GO) test -race -run 'Optimize|Lex|Soft|Minimize|Objectives|StyleBias' -count=1 . ./internal/smtlib ./internal/core
 
 ## tiersmoke: the focused gate for the default Solve's shard tier plan —
 ## the static tier rule (closed-form, exact up to ExactShardVars, else

@@ -14,6 +14,8 @@ package qsmt
 //   - BenchmarkTierCrossover: exact enumeration against the default
 //     annealer by model size, the measurement behind
 //     DefaultExactShardVars.
+//   - BenchmarkOptimizeShapes: the default Optimize on the benchmark's
+//     four optimize shapes, with the objective it reaches.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -532,5 +534,36 @@ func BenchmarkSubstrate_FlipDeltaSweep(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)*float64(tc.c.N)/b.Elapsed().Seconds(), "proposals/s")
 		})
+	}
+}
+
+// BenchmarkOptimizeShapes times the default Optimize on the four
+// optimize shapes of the repository benchmark (PrefixOf or Palindrome
+// hard, MinLength or MinEditsFrom objective) at n = 4–6, and reports
+// the objective each reaches.
+func BenchmarkOptimizeShapes(b *testing.B) {
+	for _, n := range []int{4, 5, 6} {
+		for _, shape := range []struct {
+			name string
+			hard Constraint
+			obj  Constraint
+		}{
+			{"prefix+minlength", PrefixOf("ab", n), MinLength(n)},
+			{"palindrome+minlength", Palindrome(n), MinLength(n)},
+			{"prefix+minedits", PrefixOf("q", n), MinEditsFrom("abcdef"[:n])},
+			{"palindrome+minedits", Palindrome(n), MinEditsFrom("abcdef"[:n])},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				s := NewSolver(&Options{Seed: 1})
+				var res *Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					if res, err = s.Optimize([]Constraint{shape.hard}, []SoftConstraint{Soft(shape.obj, 1)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(res.Objective, "objective")
+			})
+		}
 	}
 }

@@ -106,13 +106,22 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "qsmt:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if err := interp.Execute(string(src)); err != nil {
-		fmt.Fprintln(os.Stderr, "qsmt:", err)
-		os.Exit(1)
+		fail(err)
 	}
+}
+
+// fail reports err on stderr under one "qsmt:" prefix — the solver's
+// own errors already carry it — and exits 1.
+func fail(err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "qsmt:") {
+		msg = "qsmt: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(1)
 }
 
 // buildRemoteSampler wires one or more annealerd backends: a single URL

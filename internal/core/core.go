@@ -137,6 +137,19 @@ func addPrintableBias(m *qubo.Model, pos int, s float64) {
 	m.AddLinear(b0, -s)
 }
 
+// StyleBiased is implemented by the encoders whose model adds the
+// printable bias on positions their Check leaves free (Palindrome with
+// Printable, IndexOf and the encoders built on it, SubstringMatch with
+// an empty Sub). StyleBias returns exactly those terms as a model over
+// the same variables, so BuildModel minus StyleBias is the part that
+// Check enforces; the optimize mode scales only that part by its hard
+// weight. Encoders whose Check requires printable characters
+// (AnyPrintable, Periodic, AvoidChars) keep their bias in the enforced
+// part and do not implement it.
+type StyleBiased interface {
+	StyleBias() (*qubo.Model, error)
+}
+
 // decodeString decodes a full assignment as a string witness.
 func decodeString(x []Bit) (Witness, error) {
 	s, err := ascii7.Decode(x)

@@ -32,13 +32,21 @@ func (c *PrefixOf) NumVars() int { return ascii7.NumVars(c.Length) }
 
 // BuildModel implements Constraint.
 func (c *PrefixOf) BuildModel() (*qubo.Model, error) {
-	inner := &IndexOf{Sub: c.Prefix, Index: 0, Length: c.Length, A: c.A}
-	m, err := inner.BuildModel()
+	m, err := c.window().BuildModel()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", c.Name(), err)
 	}
 	return m, nil
 }
+
+// window is the IndexOf encoding this constraint is built on.
+func (c *PrefixOf) window() *IndexOf {
+	return &IndexOf{Sub: c.Prefix, Index: 0, Length: c.Length, A: c.A}
+}
+
+// StyleBias implements StyleBiased: the filler positions' printable
+// bias.
+func (c *PrefixOf) StyleBias() (*qubo.Model, error) { return c.window().StyleBias() }
 
 // Decode implements Constraint.
 func (c *PrefixOf) Decode(x []Bit) (Witness, error) {
@@ -79,13 +87,21 @@ func (c *SuffixOf) NumVars() int { return ascii7.NumVars(c.Length) }
 
 // BuildModel implements Constraint.
 func (c *SuffixOf) BuildModel() (*qubo.Model, error) {
-	inner := &IndexOf{Sub: c.Suffix, Index: c.Length - len(c.Suffix), Length: c.Length, A: c.A}
-	m, err := inner.BuildModel()
+	m, err := c.window().BuildModel()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", c.Name(), err)
 	}
 	return m, nil
 }
+
+// window is the IndexOf encoding this constraint is built on.
+func (c *SuffixOf) window() *IndexOf {
+	return &IndexOf{Sub: c.Suffix, Index: c.Length - len(c.Suffix), Length: c.Length, A: c.A}
+}
+
+// StyleBias implements StyleBiased: the filler positions' printable
+// bias.
+func (c *SuffixOf) StyleBias() (*qubo.Model, error) { return c.window().StyleBias() }
 
 // Decode implements Constraint.
 func (c *SuffixOf) Decode(x []Bit) (Witness, error) {
@@ -126,9 +142,17 @@ func (c *CharAt) NumVars() int { return ascii7.NumVars(c.Length) }
 
 // BuildModel implements Constraint.
 func (c *CharAt) BuildModel() (*qubo.Model, error) {
-	inner := &IndexOf{Sub: string(c.C), Index: c.Index, Length: c.Length, A: c.A}
-	return inner.BuildModel()
+	return c.window().BuildModel()
 }
+
+// window is the IndexOf encoding this constraint is built on.
+func (c *CharAt) window() *IndexOf {
+	return &IndexOf{Sub: string(c.C), Index: c.Index, Length: c.Length, A: c.A}
+}
+
+// StyleBias implements StyleBiased: the filler positions' printable
+// bias.
+func (c *CharAt) StyleBias() (*qubo.Model, error) { return c.window().StyleBias() }
 
 // Decode implements Constraint.
 func (c *CharAt) Decode(x []Bit) (Witness, error) {
@@ -311,6 +335,27 @@ func (c *Conjunction) BuildModel() (*qubo.Model, error) {
 		m, err := mem.BuildModel()
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: member %d (%s): %w", c.Name(), i, mem.Name(), err)
+		}
+		merged.Merge(m, 1)
+	}
+	return merged, nil
+}
+
+// StyleBias implements StyleBiased: the sum of the members' style
+// biases (members without one contribute nothing).
+func (c *Conjunction) StyleBias() (*qubo.Model, error) {
+	merged := qubo.New(c.NumVars())
+	for i, mem := range c.Members {
+		sb, ok := mem.(StyleBiased)
+		if !ok {
+			continue
+		}
+		m, err := sb.StyleBias()
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: member %d (%s): %w", c.Name(), i, mem.Name(), err)
+		}
+		if m.N() != merged.N() {
+			return nil, fmt.Errorf("core: %s: member %d has %d variables, want %d", c.Name(), i, m.N(), merged.N())
 		}
 		merged.Merge(m, 1)
 	}

@@ -62,6 +62,21 @@ func (c *Palindrome) BuildModel() (*qubo.Model, error) {
 	return m, nil
 }
 
+// StyleBias implements StyleBiased: the printable bias of every
+// position when Printable is set, else nothing.
+func (c *Palindrome) StyleBias() (*qubo.Model, error) {
+	if c.N < 0 {
+		return nil, fmt.Errorf("core: %s: negative length", c.Name())
+	}
+	m := qubo.New(c.NumVars())
+	if c.Printable {
+		for j := 0; j < c.N; j++ {
+			addPrintableBias(m, j, SoftFactor*coeff(c.A))
+		}
+	}
+	return m, nil
+}
+
 // Decode implements Constraint.
 func (c *Palindrome) Decode(x []Bit) (Witness, error) {
 	if err := requireVars(x, c.NumVars()); err != nil {

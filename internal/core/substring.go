@@ -56,6 +56,16 @@ func (c *SubstringMatch) BuildModel() (*qubo.Model, error) {
 	return m, nil
 }
 
+// StyleBias implements StyleBiased: the printable bias of the
+// empty-substring case, else nothing (every position is pinned).
+func (c *SubstringMatch) StyleBias() (*qubo.Model, error) {
+	m, err := c.BuildModel()
+	if err != nil || len(c.Sub) == 0 {
+		return m, err
+	}
+	return qubo.New(c.NumVars()), nil
+}
+
 // Decode implements Constraint.
 func (c *SubstringMatch) Decode(x []Bit) (Witness, error) {
 	if err := requireVars(x, c.NumVars()); err != nil {
@@ -108,24 +118,50 @@ func (c *IndexOf) NumVars() int { return ascii7.NumVars(c.Length) }
 
 // BuildModel implements Constraint.
 func (c *IndexOf) BuildModel() (*qubo.Model, error) {
-	if err := requireASCII(c.Name(), "substring", c.Sub); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
+	}
+	m := qubo.New(c.NumVars())
+	a := coeff(c.A)
+	for pos := 0; pos < c.Length; pos++ {
+		if c.pinned(pos) {
+			addCharTarget(m, pos, c.Sub[pos-c.Index], StrongFactor*a)
+		} else {
+			addPrintableBias(m, pos, SoftFactor*a)
+		}
+	}
+	return m, nil
+}
+
+// validate checks the substring and the window's range.
+func (c *IndexOf) validate() error {
+	if err := requireASCII(c.Name(), "substring", c.Sub); err != nil {
+		return err
 	}
 	// An empty substring occurs at every index of [0, Length] (SMT-LIB
 	// str.indexof semantics, including from == len(t)), so the range
 	// check below is the only requirement: the pinned window is empty and
 	// every position gets the soft filler bias.
 	if c.Index < 0 || c.Index+len(c.Sub) > c.Length {
-		return nil, fmt.Errorf("%w: %s: window [%d,%d) outside string of length %d",
+		return fmt.Errorf("%w: %s: window [%d,%d) outside string of length %d",
 			ErrUnsatisfiable, c.Name(), c.Index, c.Index+len(c.Sub), c.Length)
 	}
+	return nil
+}
+
+// pinned reports whether pos lies in the pinned window.
+func (c *IndexOf) pinned(pos int) bool { return pos >= c.Index && pos < c.Index+len(c.Sub) }
+
+// StyleBias implements StyleBiased: the filler positions' printable
+// bias.
+func (c *IndexOf) StyleBias() (*qubo.Model, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	m := qubo.New(c.NumVars())
-	a := coeff(c.A)
 	for pos := 0; pos < c.Length; pos++ {
-		if pos >= c.Index && pos < c.Index+len(c.Sub) {
-			addCharTarget(m, pos, c.Sub[pos-c.Index], StrongFactor*a)
-		} else {
-			addPrintableBias(m, pos, SoftFactor*a)
+		if !c.pinned(pos) {
+			addPrintableBias(m, pos, SoftFactor*coeff(c.A))
 		}
 	}
 	return m, nil

@@ -77,6 +77,11 @@ func Read(r io.Reader) (*Model, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("qubo: line %d: malformed header", line)
 			}
+			if m != nil {
+				// A second header would drop every term read so far, so
+				// the text would name one model and parse as another.
+				return nil, fmt.Errorf("qubo: line %d: repeated header", line)
+			}
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 || n > MaxReadVars {
 				return nil, fmt.Errorf("qubo: line %d: bad variable count %q", line, fields[1])

@@ -159,6 +159,87 @@ func (r *Reduction) LiftInto(full, x []Bit) {
 	}
 }
 
+// Substitute rewrites another model over the same FullN variables onto
+// the reduced variables, with m.Energy(r.Lift(x)) equal to the
+// result's energy at x for every reduced x. Every lift step is an
+// affine substitution x_i = c + s·x_j with s ∈ {−1, 0, 1} (a pendant's
+// replay rule included), applied in elimination order, so the identity
+// holds for any model, not only the one presolve reduced. The optimize
+// mode uses it to carry the hard penalty part of its combined model
+// into the presolved space. A nil reduction returns m.
+func (r *Reduction) Substitute(m *Model) *Model {
+	if r == nil {
+		return m
+	}
+	if m.n != r.FullN {
+		panic(fmt.Sprintf("qubo: substitute into a %d-variable model, reduction has %d", m.n, r.FullN))
+	}
+	h := append([]float64(nil), m.diag...)
+	adj := make([]map[int]float64, m.n)
+	couple := func(i, j int, w float64) {
+		for _, e := range [2][2]int{{i, j}, {j, i}} {
+			if adj[e[0]] == nil {
+				adj[e[0]] = map[int]float64{}
+			}
+			adj[e[0]][e[1]] += w
+		}
+	}
+	for k, w := range m.quad {
+		couple(k.I, k.J, w)
+	}
+	offset := m.offset
+	for _, st := range r.steps {
+		c, s := st.affine()
+		i, j := st.i, st.j
+		offset += h[i] * c
+		if s != 0 {
+			h[j] += h[i] * s
+		}
+		for k, w := range adj[i] {
+			delete(adj[k], i)
+			h[k] += w * c
+			switch {
+			case s == 0:
+			case k == j: // x_j·x_j = x_j
+				h[j] += w * s
+			default:
+				couple(j, k, w*s)
+			}
+		}
+		adj[i], h[i] = nil, 0
+	}
+	local := make(map[int]int, len(r.Vars))
+	for k, g := range r.Vars {
+		local[g] = k
+	}
+	out := New(len(r.Vars))
+	out.AddOffset(offset)
+	for k, g := range r.Vars {
+		if h[g] != 0 {
+			out.AddLinear(k, h[g])
+		}
+		for j, w := range adj[g] {
+			if j > g && w != 0 {
+				out.AddQuadratic(k, local[j], w)
+			}
+		}
+	}
+	return out
+}
+
+// affine returns the step's substitution x_i = c + s·x_j.
+func (st liftStep) affine() (c, s float64) {
+	switch st.kind {
+	case liftPendant:
+		return float64(st.v0), float64(st.v1) - float64(st.v0)
+	case liftEqual:
+		return 0, 1
+	case liftComplement:
+		return 1, -1
+	}
+	return float64(st.v0), 0 // liftFixed
+}
+
 // presolver is the mutable working state: per-variable fields and a
 // map-backed adjacency that supports O(1) coupler deletion as variables
 // are eliminated.

@@ -415,3 +415,40 @@ func TestReductionProjectWidthPanics(t *testing.T) {
 	}()
 	red.Project(make([]Bit, red.FullN+1))
 }
+
+// TestReductionSubstituteRandom pins Substitute's identity: a second
+// model over the same variables, rewritten through the reduction of the
+// first, has m.Energy(Lift(x)) == Substitute(m).Energy(x) for every
+// reduced x, whatever rules the reduction applied.
+func TestReductionSubstituteRandom(t *testing.T) {
+	rng := presolveRNG(0x5eed5eed)
+	reduced := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.intn(12)
+		red := Presolve(randomPresolveModel(&rng, n))
+		if red.Reduced() {
+			reduced++
+		}
+		other := randomPresolveModel(&rng, n)
+		sub := red.Substitute(other)
+		if sub.N() != red.Model.N() {
+			t.Fatalf("trial %d: substituted model has %d variables, reduced has %d", trial, sub.N(), red.Model.N())
+		}
+		for probe := 0; probe < 8; probe++ {
+			x := make([]Bit, sub.N())
+			for i := range x {
+				x[i] = Bit(rng.intn(2))
+			}
+			if eF, eS := other.Energy(red.Lift(x)), sub.Energy(x); !approxEq(eF, eS) {
+				t.Fatalf("trial %d probe %d: E(Lift(x)) = %g, substituted E(x) = %g (stats %+v)", trial, probe, eF, eS, red.Stats)
+			}
+		}
+	}
+	if reduced < 100 {
+		t.Fatalf("only %d of 200 reductions eliminated anything; the test exercises too few rules", reduced)
+	}
+	var none *Reduction
+	if m := New(2); none.Substitute(m) != m {
+		t.Error("a nil reduction must return the model unchanged")
+	}
+}

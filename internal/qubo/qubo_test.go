@@ -254,15 +254,16 @@ func TestSerializationRoundTrip(t *testing.T) {
 func TestReadErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"l 0 1\n",              // term before header
-		"qubo x\n",             // bad count
-		"qubo 2\nl 5 1\n",      // index out of range
-		"qubo 2\nq 0 0 1\n",    // i == j
-		"qubo 2\nq 0 1\n",      // missing value
-		"qubo 2\nwat 1 2 3\n",  // unknown record
-		"qubo 2\noffset abc\n", // bad offset
-		"qubo 1048577\n",       // more than MaxReadVars
-		"qubo 99999999999\n",   // would allocate ~800 GB
+		"l 0 1\n",                          // term before header
+		"qubo x\n",                         // bad count
+		"qubo 2\nl 5 1\n",                  // index out of range
+		"qubo 2\nq 0 0 1\n",                // i == j
+		"qubo 2\nq 0 1\n",                  // missing value
+		"qubo 2\nwat 1 2 3\n",              // unknown record
+		"qubo 2\noffset abc\n",             // bad offset
+		"qubo 1048577\n",                   // more than MaxReadVars
+		"qubo 99999999999\n",               // would allocate ~800 GB
+		"qubo 2\nl 0 -1\nl 1 -1\nqubo 3\n", // repeated header drops the terms before it
 	}
 	for _, s := range bad {
 		if _, err := Read(strings.NewReader(s)); err == nil {

@@ -1,6 +1,7 @@
 package smtlib
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -323,14 +324,16 @@ func (it *Interpreter) printObjectives() error {
 }
 
 // classify converts solver failures into verdicts: provable
-// unsatisfiability is "unsat", an exhausted annealing budget is
-// "unknown" (the honest answer for an incomplete solver).
+// unsatisfiability is "unsat", an exhausted annealing budget or a
+// sampling job that ran past its deadline is "unknown" (the honest
+// answer for an incomplete solver), so the script's remaining commands
+// still run.
 func (it *Interpreter) classify(err error) error {
 	switch {
 	case errors.Is(err, qsmt.ErrUnsatisfiable):
 		it.status = StatusUnsat
 		return nil
-	case errors.Is(err, qsmt.ErrNoModel):
+	case errors.Is(err, qsmt.ErrNoModel), errors.Is(err, context.DeadlineExceeded):
 		it.status = StatusUnknown
 		return nil
 	default:

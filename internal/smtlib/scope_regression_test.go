@@ -124,3 +124,21 @@ func TestDefineFunAcrossExecute(t *testing.T) {
 		t.Error("define-fun over the declared x accepted")
 	}
 }
+
+// Regression: a declaration may not take a define-fun's name, in the
+// same script or in a later Execute. Macros expand at parse time, so
+// the declared variable was silently replaced by the macro body: the
+// script below answered sat with p = "ab" in the model.
+func TestDeclareAfterDefineFunRejected(t *testing.T) {
+	it, _ := testInterp(65)
+	if err := it.Execute(`(define-fun p () String "ab")(declare-const p String)(assert (= (str.len p) 2))(check-sat)(get-model)`); err == nil {
+		t.Error("declare-const over the define-fun p accepted")
+	}
+	it, _ = testInterp(66)
+	if err := it.Execute(`(define-fun q () String "ab")`); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Execute(`(declare-fun q () String)`); err == nil {
+		t.Error("declare-fun over the define-fun q of an earlier Execute accepted")
+	}
+}

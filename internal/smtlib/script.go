@@ -353,6 +353,11 @@ func (s *Script) declare(nameNode, sortNode *Node) error {
 	if _, dup := s.DeclOf(nameNode.Atom); dup {
 		return posErr(nameNode, fmt.Sprintf("duplicate declaration of %s", nameNode.Atom))
 	}
+	if _, macro := s.defs[nameNode.Atom]; macro {
+		// Macros expand at parse time, so every later use of the name
+		// would silently read the macro body instead of the variable.
+		return posErr(nameNode, fmt.Sprintf("declaration of %s collides with a define-fun", nameNode.Atom))
+	}
 	d := Decl{Name: nameNode.Atom, Sort: sort}
 	s.Decls = append(s.Decls, d)
 	s.Items = append(s.Items, Item{Kind: ItemDecl, Decl: d})

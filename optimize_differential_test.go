@@ -2,8 +2,10 @@ package qsmt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"qsmt/internal/anneal"
 	"qsmt/internal/core"
 	"qsmt/internal/qubo"
 )
@@ -178,5 +180,33 @@ func TestLexStacksWeights(t *testing.T) {
 	}
 	if _, err := Lex(Soft(CharAt('a', 0, 1), 1)); err == nil {
 		t.Error("Lex accepted a plain (ungraded) soft constraint")
+	}
+}
+
+// TestOptimizeStyleBiasStaysUnscaled: the printable style bias of a
+// hard model merges at weight 1 even where it shares coefficients with
+// checked penalty terms. Palindrome's mirror penalty and its bias share
+// the linear terms of bits 0 and 1 of every position; the old split by
+// magnitude scaled the bias there by the hard weight M, and MinLength
+// then lost to it: Optimize returned a full-length printable palindrome
+// (objective n − 1 or n) where the all-NUL frame has objective 0, on the
+// tier plan and on the whole model alike.
+func TestOptimizeStyleBiasStaysUnscaled(t *testing.T) {
+	for n := 4; n <= 6; n++ {
+		for _, cfg := range []struct {
+			name string
+			opts *Options
+		}{
+			{"tier plan", &Options{Seed: 3}},
+			{"whole model", &Options{Seed: 3, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000, Seed: 3}}},
+		} {
+			res, err := NewSolver(cfg.opts).Optimize([]Constraint{Palindrome(n)}, []SoftConstraint{Soft(MinLength(n), 1)})
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, cfg.name, err)
+			}
+			if res.Objective != 0 || res.Witness.Str != strings.Repeat("\x00", n) {
+				t.Errorf("n=%d %s: objective %v (witness %q), want 0 (the all-NUL frame)", n, cfg.name, res.Objective, res.Witness.Str)
+			}
+		}
 	}
 }

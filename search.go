@@ -20,11 +20,14 @@ import (
 //     shards or kept whole as a one-entry plan; each entry has a tier —
 //     closed-form, exact enumeration, or the configured sampler;
 //   - sampling step: one sample set per plan entry per attempt
-//     (sampleShards, or the incremental session's memo-backed step);
+//     (sampleShards, or the incremental session's memo-backed step); an
+//     exact entry is enumerated once per search and its set reused;
 //   - candidates: shardCandidates merges the entries' rows into
 //     full-space assignments, lifted through the presolve reduction;
 //   - acceptor: first verified witness (Solve, SolveBatch, incremental),
-//     graded incumbent (Optimize), or k distinct witnesses (Enumerate).
+//     graded incumbent (Optimize, which also sweeps the exact entries'
+//     feasible states against its incumbent), or k distinct witnesses
+//     (Enumerate).
 //
 // search owns the retry policy and is the one place ErrNoModel is
 // produced.
@@ -50,6 +53,9 @@ type shardPlan struct {
 	// the entry's space (see entryStates).
 	seeds [][]qubo.Bit
 	warm  bool
+	// reused marks an exact entry's set kept from an earlier attempt of
+	// the search: no enumeration ran, so its reads are not counted again.
+	reused bool
 
 	set *anneal.SampleSet // this attempt's samples, entry-local
 	err error
@@ -74,33 +80,28 @@ type plan struct {
 }
 
 // newPlan plans the working model work, whose candidates red lifts back
-// to the full space of fullN variables. Solve with the default sampler
-// and every solve of a batch (the batch layer's gated solver copy) run
-// the shard tier plan: the model is planned by its connected
-// components, each placed by tierOf. A connected model is a one-component plan and a model that
-// presolve reduced to nothing a zero-entry plan, whose one candidate is
-// the empty assignment (both recorded as ShardFallback). The
-// decomposition is exact: no coupler crosses a component boundary, so
-// merging per-shard minima yields a global minimum. A solve with a
-// custom sampler outside a batch samples the whole model (sampledPlan).
+// to the full space of fullN variables (Solve and Optimize). With the
+// default sampler, and in every solve of a batch (the batch layer's
+// gated solver copy), it is the shard tier plan: the model is planned
+// by its connected components, each placed by tierOf. A connected model
+// is a one-component plan and a model that presolve reduced to nothing
+// a zero-entry plan, whose one candidate is the empty assignment (both
+// recorded as ShardFallback). The decomposition is exact: no coupler
+// crosses a component boundary, so merging per-shard minima yields a
+// global minimum. With a custom sampler outside a batch it is the
+// one-entry plan that samples the whole compiled working model, from
+// the entry states entryStates derives.
 func (s *Solver) newPlan(work *qubo.Model, red *qubo.Reduction, fullN int, st *SolveStats) plan {
 	if s.opts.Sampler != nil && s.gate == nil {
-		return s.sampledPlan(work, red, fullN, st)
+		pl := s.wholePlan(work, red, s.compileModel(work, st))
+		p := &pl.entries[0]
+		p.seeds, p.warm = s.entryStates(p.compiled, fullN, red.Project)
+		return pl
 	}
 	shards := qubo.Components(work)
 	st.Shards = len(shards)
 	st.ShardFallback = len(shards) <= 1
 	return plan{model: work, red: red, entries: s.planShards(shards, red, fullN, st), attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
-}
-
-// sampledPlan is the one-entry plan that samples the whole compiled
-// working model with the configured sampler (Optimize, and Solve with a
-// custom sampler).
-func (s *Solver) sampledPlan(work *qubo.Model, red *qubo.Reduction, fullN int, st *SolveStats) plan {
-	pl := s.wholePlan(work, red, s.compileModel(work, st))
-	p := &pl.entries[0]
-	p.seeds, p.warm = s.entryStates(p.compiled, fullN, red.Project)
-	return pl
 }
 
 // wholePlan is the one-entry plan that samples the compiled working
@@ -177,10 +178,14 @@ func (st *SolveStats) observeEntry(p *shardPlan) {
 
 // sampleShards is the sampling step of a planned search: closed-form and
 // exact entries and the first sampled one run inline, further sampled
-// entries concurrently, one goroutine each. Every sampling call
-// acquires a batch-gate slot of its own (when one is installed), so the
-// fan-out of many batched constraints still respects the global worker
-// bound. The returned error names the failing shard.
+// entries concurrently, one goroutine each. An exact entry's set is
+// deterministic, so it is enumerated on the first attempt only and
+// reused on every later one (the incremental step, which hands
+// sampleEntry memoized sets of its own, does not come through here).
+// Every sampling call acquires a batch-gate slot of its own (when one
+// is installed), so the fan-out of many batched constraints still
+// respects the global worker bound. The returned error names the
+// failing shard.
 func (s *Solver) sampleShards(ctx context.Context, pl *plan, attempt int, st *SolveStats) error {
 	var wg *sync.WaitGroup // allocated only when a goroutine starts
 	inline := -1
@@ -202,7 +207,10 @@ func (s *Solver) sampleShards(ctx context.Context, pl *plan, attempt int, st *So
 	}
 	for i := range pl.entries {
 		if p := &pl.entries[i]; p.tier != tierSampled || i == inline {
-			s.sampleEntry(ctx, p, attempt, i)
+			p.reused = p.tier == tierExact && p.set != nil
+			if !p.reused {
+				s.sampleEntry(ctx, p, attempt, i)
+			}
 		}
 	}
 	if wg != nil {
@@ -223,7 +231,8 @@ func (s *Solver) sampleShards(ctx context.Context, pl *plan, attempt int, st *So
 
 // aggregate folds the attempt's sample statistics into st and returns
 // the deepest candidate rank, 0 when an entry's set came back empty.
-// Every set's reads and kernel counters count, empty or not. Energies
+// Every set's reads and kernel counters count, empty or not, except a
+// reused exact set's, which were counted when it was enumerated. Energies
 // add over entries plus the working model's offset, which the shards do
 // not carry (whole-model samples already include it); ground fractions
 // multiply because the entries are sampled independently.
@@ -237,8 +246,10 @@ func (pl *plan) aggregate(st *SolveStats) (rows int) {
 	empty := false
 	for i := range pl.entries {
 		ss := pl.entries[i].set
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
+		if !pl.entries[i].reused {
+			st.Reads += ss.TotalReads()
+			st.observeKernel(ss.Kernel)
+		}
 		if ss.Len() == 0 {
 			empty = true
 			continue
@@ -301,9 +312,16 @@ func (s *Solver) search(ctx context.Context, name string, pl *plan, step func(at
 			lastCheck = fmt.Errorf("qsmt: empty sample set for %s", name)
 		} else {
 			cands := newShardCandidates(pl, rows, s.opts.Seed, attempt)
+			// The graded acceptor has candidates of its own: once the
+			// stream runs dry it sweeps the exact entries against its
+			// incumbent, and those candidates are counted like any other.
+			graded, sweeps := acc.(*gradedIncumbent)
 			phase = time.Now()
 			for {
 				x, energy, ok := cands.next()
+				if !ok && sweeps {
+					x, energy, ok = graded.nextSweep()
+				}
 				if !ok {
 					break
 				}
@@ -416,36 +434,6 @@ func (a *kDistinct) more() bool {
 }
 
 func (a *kDistinct) found() bool { return len(a.out) > 0 }
-
-// gradedIncumbent grades every verified candidate by its theory
-// objective and keeps the best (Optimize). A search ends early only on
-// an incumbent at the proven lower bound.
-type gradedIncumbent struct {
-	pl  *optPlan
-	res Result // the incumbent; Vars and Shards preset by the entry point
-	ok  bool
-}
-
-func (a *gradedIncumbent) offer(x []qubo.Bit, energy float64, attempt int) (bool, verdict, error) {
-	w, obj, vals, v, err := a.pl.grade(x)
-	if v != verified {
-		return false, v, err
-	}
-	if a.ok && obj >= a.res.Objective-optObjectiveEps {
-		return false, v, nil
-	}
-	a.res.Witness, a.res.Energy, a.res.Attempts = w, energy, attempt+1
-	a.res.Objective, a.res.ObjectiveValues = obj, vals
-	a.ok = true
-	return false, improved, nil
-}
-
-func (a *gradedIncumbent) optimal() bool {
-	return a.ok && a.res.Objective <= a.pl.bound+optObjectiveEps
-}
-
-func (a *gradedIncumbent) more() bool  { return !a.optimal() }
-func (a *gradedIncumbent) found() bool { return a.ok }
 
 // shardCandidates generates the merged candidates of one attempt,
 // lazily and in order. A whole-model plan emits its rows as sampled.

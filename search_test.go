@@ -74,9 +74,12 @@ func TestSearchCountsReadsPastAnEmptyShard(t *testing.T) {
 
 // Optimize's whole-model attempts count warm hits like every other
 // sampling operation. The old whole-model optimize loop counted
-// WarmSeeded but never WarmHits, reporting 0/4 on this case.
+// WarmSeeded but never WarmHits, reporting 0/4 on this case. Optimize
+// samples the whole model only with a custom sampler (the default plans
+// this case onto exact entries, which take no warm starts), so the test
+// sets the default annealer's configuration explicitly.
 func TestOptimizeWholeModelCountsWarmHits(t *testing.T) {
-	s := NewSolver(&Options{Seed: 7})
+	s := NewSolver(&Options{Seed: 7, Sampler: &anneal.SimulatedAnnealer{Reads: 64, Sweeps: 1000, Seed: 7}})
 	res, err := s.Optimize(
 		[]Constraint{CharAt('a', 0, 3)},
 		[]SoftConstraint{Soft(MinLength(3), 2), Soft(CharAt('z', 1, 3), 0.5)})
@@ -110,5 +113,53 @@ func TestSearchAllocsGuard(t *testing.T) {
 	eq := Equality("hello")
 	if got := testing.AllocsPerRun(20, func() { s.Solve(eq) }); got > 29 {
 		t.Errorf("Solve(Equality): %v allocs, want ≤ 29", got)
+	}
+}
+
+// An exact entry's set is deterministic, so a search enumerates it once:
+// later attempts reuse the set instead of re-enumerating up to 2^16
+// states, and count no reads for it. The conjunction below is
+// unsatisfiable and plans onto six exact entries, so every attempt
+// fails verification and the search runs its whole budget.
+func TestExactEntryEnumeratedOncePerSearch(t *testing.T) {
+	ctx := context.Background()
+	c := And(Periodic(2, 4), Palindrome(4), CharAt('a', 0, 4), CharAt('b', 1, 4))
+	s := NewSolver(nil)
+	model, err := c.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st SolveStats
+	work, red := presolve(model, nil, &st)
+	pl := s.newPlan(work, red, model.N(), &st)
+	first := map[int]*anneal.SampleSet{}
+	reads := 0
+	for attempt := 0; attempt < 3; attempt++ {
+		if err := s.sampleShards(ctx, &pl, attempt, &st); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pl.entries {
+			if p.tier != tierExact {
+				continue
+			}
+			if attempt == 0 {
+				first[i] = p.set
+				reads += p.set.TotalReads()
+			} else if p.set != first[i] {
+				t.Errorf("attempt %d re-enumerated exact entry %d", attempt, i)
+			}
+		}
+	}
+	if len(first) == 0 {
+		t.Fatal("no exact entry in the plan; the test needs one")
+	}
+
+	st = SolveStats{}
+	if _, err := s.solveContext(ctx, c, &st); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("err = %v, want ErrNoModel", err)
+	}
+	if st.Attempts != s.opts.MaxAttempts || st.Reads != reads {
+		t.Errorf("attempts %d, reads %d; want %d attempts and the first attempt's %d reads",
+			st.Attempts, st.Reads, s.opts.MaxAttempts, reads)
 	}
 }

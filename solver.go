@@ -32,11 +32,11 @@ type SamplerContext interface {
 type Options struct {
 	// Sampler minimizes the QUBOs. Default: a SimulatedAnnealer with
 	// 64 reads and 1000 sweeps, warm-started — the neal-equivalent
-	// configuration the paper evaluates on. With the default, Solve runs
-	// it only on the components that the closed-form and exact tiers
-	// cannot take (see SolveContext); SolveBatch runs that tier plan with
-	// any sampler. Setting a Sampler makes Solve anneal the whole
-	// presolved model. A kernel sampler's own InitialStates are given as
+	// configuration the paper evaluates on. With the default, Solve and
+	// Optimize run it only on the components that the closed-form and
+	// exact tiers cannot take (see SolveContext); SolveBatch runs that
+	// tier plan with any sampler. Setting a Sampler makes Solve and
+	// Optimize anneal the whole presolved model. A kernel sampler's own InitialStates are given as
 	// full-model assignments; the solver maps them into each sampled
 	// model's space on a copy of the sampler.
 	Sampler Sampler
