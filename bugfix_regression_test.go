@@ -1,6 +1,8 @@
 package qsmt
 
 import (
+	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,5 +208,34 @@ func TestRunContextGeneratorFailure(t *testing.T) {
 	}
 	if res == nil || len(res.Stages) != 0 || res.Output != "" {
 		t.Fatalf("generator-failure result = %+v", res)
+	}
+}
+
+// offWidthSampler returns one row one variable wider than the model.
+type offWidthSampler struct{}
+
+func (offWidthSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) {
+	return &anneal.SampleSet{Samples: []anneal.Sample{{X: make([]qubo.Bit, c.N+1), Occurrences: 1}}}, nil
+}
+
+// A custom sampler's off-width row on a sharded entry is an error that
+// names the shard, on both the batch path and the incremental path; it
+// used to reach Shard.Scatter and panic (in SolveBatch, on a fan-out
+// goroutine, taking the process down).
+func TestOffWidthSampledRowIsAnError(t *testing.T) {
+	s := NewSolver(&Options{Sampler: offWidthSampler{}, ExactShardVars: -1})
+	c := AvoidChars([]byte("tt"), 6)
+
+	br, err := s.SolveBatch(context.Background(), []Constraint{c})
+	if err != nil {
+		t.Fatalf("SolveBatch: %v", err)
+	}
+	if err := br.Items[0].Err; err == nil || !strings.Contains(err.Error(), "shard 0/6") || !strings.Contains(err.Error(), "13 variables") {
+		t.Errorf("SolveBatch item error = %v, want one naming shard 0/6 and its 13-variable row", err)
+	}
+
+	_, err = s.NewIncrementalSession().Solve(context.Background(), "k", c)
+	if err == nil || !strings.Contains(err.Error(), "component 0/6") || !strings.Contains(err.Error(), "13 variables") {
+		t.Errorf("IncrementalSession.Solve error = %v, want one naming component 0/6 and its 13-variable row", err)
 	}
 }

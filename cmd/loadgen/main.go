@@ -1,5 +1,5 @@
 // Command loadgen load-tests the annealer service layer end to end and
-// writes BENCH_service.json: sustained job throughput, p50/p99 job
+// prints a JSON report on stdout: sustained job throughput, p50/p99 job
 // latency, and the admission-control shed rate.
 //
 // By default it is fully self-hosted — it boots N in-process backend
@@ -10,7 +10,7 @@
 //
 //	loadgen [-backends 3] [-duration 5s] [-concurrency 16] [-clients 4]
 //	        [-queue 64] [-workers 4] [-vars 64] [-reads 8] [-sweeps 200]
-//	        [-seed 1] [-out BENCH_service.json] [-url http://host:8080]
+//	        [-seed 1] [-url http://host:8080]
 //
 // With -url the self-hosted stack is skipped and an external service is
 // driven instead. Every client submits jobs content-addressed: the
@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -52,10 +53,9 @@ type loadCfg struct {
 	sweeps      int
 	seed        int64
 	url         string // non-empty: drive an external service
-	out         string
 }
 
-// report is the BENCH_service.json payload.
+// report is the JSON payload loadgen prints.
 type report struct {
 	Backends    int     `json:"backends"`
 	Concurrency int     `json:"concurrency"`
@@ -265,27 +265,15 @@ func run(cfg loadCfg) (*report, error) {
 	if len(latencies) > 0 {
 		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 		rep.P50Millis = float64(latencies[len(latencies)*50/100].Microseconds()) / 1000
-		p99 := len(latencies) * 99 / 100
-		if p99 >= len(latencies) {
-			p99 = len(latencies) - 1
-		}
-		rep.P99Millis = float64(latencies[p99].Microseconds()) / 1000
+		rep.P99Millis = float64(latencies[len(latencies)*99/100].Microseconds()) / 1000
 	}
 	return rep, nil
 }
 
-func writeReport(path string, rep *report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+func writeReport(w io.Writer, rep *report) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]*report{"service": rep}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return enc.Encode(map[string]*report{"service": rep})
 }
 
 func main() {
@@ -301,7 +289,6 @@ func main() {
 	flag.IntVar(&cfg.sweeps, "sweeps", 200, "annealing sweeps per read")
 	flag.Int64Var(&cfg.seed, "seed", 1, "model generator seed")
 	flag.StringVar(&cfg.url, "url", "", "drive this external service instead of self-hosting")
-	flag.StringVar(&cfg.out, "out", "BENCH_service.json", "report path")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: loadgen [flags]")
@@ -312,8 +299,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("loadgen: %v", err)
 	}
-	if err := writeReport(cfg.out, rep); err != nil {
-		log.Fatalf("loadgen: writing %s: %v", cfg.out, err)
+	if err := writeReport(os.Stdout, rep); err != nil {
+		log.Fatalf("loadgen: writing report: %v", err)
 	}
 	log.Printf("loadgen: %d done / %d shed / %d failed in %v — %.1f jobs/s, p50 %.1fms, p99 %.1fms, shed rate %.1f%%",
 		rep.JobsDone, rep.JobsShed, rep.JobsFailed, cfg.duration, rep.QPS, rep.P50Millis, rep.P99Millis, 100*rep.ShedRate)

@@ -1,16 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestLoadgenSelfHostedSmoke runs the full self-hosted topology — three
 // backends, pool front, job API — for a short window and checks the
-// report is coherent and lands on disk in the BENCH_service.json shape.
+// report is coherent and prints as the JSON loadgen writes to stdout.
 func TestLoadgenSelfHostedSmoke(t *testing.T) {
 	cfg := loadCfg{
 		backends:    3,
@@ -38,16 +37,12 @@ func TestLoadgenSelfHostedSmoke(t *testing.T) {
 		t.Fatalf("shed rate out of range: %+v", rep)
 	}
 
-	out := filepath.Join(t.TempDir(), "BENCH_service.json")
-	if err := writeReport(out, rep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
+	var out bytes.Buffer
+	if err := writeReport(&out, rep); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]report
-	if err := json.Unmarshal(raw, &decoded); err != nil {
+	if err := json.Unmarshal(out.Bytes(), &decoded); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
 	if decoded["service"].JobsDone != rep.JobsDone {

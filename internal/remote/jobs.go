@@ -133,7 +133,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if coalesced {
 		s.Metrics.jobCoalesced()
 	}
-	s.Metrics.setQueueDepth(s.Jobs.Depth())
+	s.syncQueueDepth()
 	st, _ := s.Jobs.Get(id)
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, wireStatus(st))
@@ -290,13 +290,16 @@ func (s *Server) jobWorker(ctx context.Context) {
 		if err != nil {
 			return
 		}
-		s.Metrics.setQueueDepth(s.Jobs.Depth())
+		s.syncQueueDepth()
 		s.Metrics.observeJobWait(lease.Started.Sub(lease.Enqueued))
 
 		// A per-job context lets DELETE /v1/jobs/{id} interrupt the
-		// sampling loop of a running job.
+		// sampling loop of a running job. The outcome metric counts the
+		// state the queue settles the job in — a racing Cancel wins over
+		// the settle below — and is recorded before any watcher wakes, so
+		// a client that sees the job finish also sees it counted.
 		jctx, cancel := context.WithCancel(ctx)
-		s.Jobs.attachCancel(lease.ID, cancel)
+		s.Jobs.attach(lease.ID, cancel, func(st JobState) { s.Metrics.jobCompleted(st.String()) })
 		start := time.Now()
 		resp, se := s.executeJob(jctx, lease.Req)
 		s.Metrics.observeJobRun(time.Since(start))
@@ -305,12 +308,6 @@ func (s *Server) jobWorker(ctx context.Context) {
 			s.Jobs.Fail(lease.ID, se.Code, se.Message)
 		} else {
 			s.Jobs.Complete(lease.ID, resp)
-		}
-		// Report the outcome the queue actually recorded — a racing
-		// Cancel wins over the settle above, and that is the truth the
-		// metrics should tell.
-		if st, ok := s.Jobs.Get(lease.ID); ok {
-			s.Metrics.jobCompleted(st.State.String())
 		}
 		s.syncExpiredMetric()
 	}
@@ -323,6 +320,15 @@ func (s *Server) executeJob(ctx context.Context, req SampleRequest) (*SampleResp
 		return nil, se
 	}
 	return s.runSample(ctx, req, compiled)
+}
+
+// syncQueueDepth publishes the queue depth to its gauge. The read and
+// the store happen under one lock, so a submit handler's read taken
+// before a worker's dequeue cannot overwrite the worker's newer value.
+func (s *Server) syncQueueDepth() {
+	s.depthMu.Lock()
+	defer s.depthMu.Unlock()
+	s.Metrics.setQueueDepth(s.Jobs.Depth())
 }
 
 // syncExpiredMetric publishes the queue's lifetime expiry count delta

@@ -20,7 +20,7 @@ import (
 // every concurrent job to the recovering backend at once. With a proper
 // half-open state, exactly one trial job reaches the backend while its
 // outcome is pending; the rest are rejected without touching the
-// network. Runs under -race via the raceservice gate: the trial slot is
+// network. Runs under -race in make race: the trial slot is
 // claimed from many goroutines at once.
 func TestPoolHalfOpenAdmitsSingleTrial(t *testing.T) {
 	var failing atomic.Bool

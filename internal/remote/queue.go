@@ -138,6 +138,7 @@ type queuedJob struct {
 	finished time.Time
 
 	cancel  context.CancelFunc // set while running
+	observe func(JobState)     // set while running: told the outcome before watchers wake
 	changed chan struct{}      // closed and replaced on every transition
 
 	// Coalescing: a follower is an admitted job whose request is
@@ -448,13 +449,18 @@ func (q *JobQueue) Dequeue(ctx context.Context) (JobLease, error) {
 	}
 }
 
-// attachCancel registers the running job's context cancel so Cancel can
-// interrupt it; no-op if the job already left the running state.
-func (q *JobQueue) attachCancel(id string, cancel context.CancelFunc) {
+// attach registers the running job's context cancel, so Cancel can
+// interrupt it, and its outcome observer, which is told the state the
+// job leaves running in (done, failed, or canceled when Cancel wins)
+// under the queue lock, before the transition wakes any watcher. A job
+// that already left the running state is observed at once.
+func (q *JobQueue) attach(id string, cancel context.CancelFunc, observe func(JobState)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if j, ok := q.jobs[id]; ok && j.state == JobRunning {
-		j.cancel = cancel
+		j.cancel, j.observe = cancel, observe
+	} else if ok {
+		observe(j.state)
 	}
 }
 
@@ -478,16 +484,11 @@ func (q *JobQueue) settle(id string, state JobState, resp *SampleResponse, code 
 		return
 	}
 	q.running--
-	j.state = state
-	j.result = resp
-	j.errCode = code
-	j.errMsg = msg
-	j.finished = q.clock()
-	j.cancel = nil
-	q.expiry.PushBack(j)
-	q.completions[q.completed%uint64(len(q.completions))] = j.finished
+	now := q.clock()
+	q.completions[q.completed%uint64(len(q.completions))] = now
 	q.completed++
-	q.notifyLocked(j)
+	j.result, j.errCode, j.errMsg = resp, code, msg
+	q.finishLocked(j, state, now)
 	// One execution settles every coalesced follower: each gets the
 	// same result/error and its own terminal transition, sharing the
 	// primary's timing (they waited on exactly that run).
@@ -496,14 +497,8 @@ func (q *JobQueue) settle(id string, state JobState, resp *SampleResponse, code 
 		if f.state != JobQueued {
 			continue
 		}
-		f.state = state
-		f.result = resp
-		f.errCode = code
-		f.errMsg = msg
-		f.started = j.started
-		f.finished = j.finished
-		q.expiry.PushBack(f)
-		q.notifyLocked(f)
+		f.result, f.errCode, f.errMsg, f.started = resp, code, msg, j.started
+		q.finishLocked(f, state, now)
 	}
 	j.followers = nil
 	q.sweepLocked()
@@ -579,16 +574,24 @@ func (q *JobQueue) Cancel(id string) bool {
 		q.running--
 		q.promoteLocked(j)
 	}
-	j.state = JobCanceled
-	j.finished = q.clock()
-	j.cancel = nil
-	q.expiry.PushBack(j)
-	q.notifyLocked(j)
+	q.finishLocked(j, JobCanceled, q.clock())
 	q.mu.Unlock()
 	if cancel != nil {
 		cancel() // outside the lock: cancel fans into the sampler
 	}
 	return true
+}
+
+// finishLocked moves j to the terminal state st, finished at: it drops
+// the cancel hook, tells the outcome observer (see attach), queues j
+// for expiry and wakes its watchers; callers hold q.mu.
+func (q *JobQueue) finishLocked(j *queuedJob, st JobState, at time.Time) {
+	j.state, j.finished, j.cancel = st, at, nil
+	if j.observe != nil {
+		j.observe(st)
+	}
+	q.expiry.PushBack(j)
+	q.notifyLocked(j)
 }
 
 // notifyLocked wakes watchers of j; callers hold q.mu.
@@ -701,11 +704,8 @@ func (q *JobQueue) Close() {
 				q.classes[j.priority].remove(j)
 				q.queued--
 			}
-			j.state = JobCanceled
-			j.finished = q.clock()
 			j.followers = nil
-			q.expiry.PushBack(j)
-			q.notifyLocked(j)
+			q.finishLocked(j, JobCanceled, q.clock())
 		case JobRunning:
 			if j.cancel != nil {
 				cancels = append(cancels, j.cancel)

@@ -291,10 +291,11 @@ func TestQueueCancel(t *testing.T) {
 	if lease.ID != idRun {
 		t.Fatalf("dequeued %s, want %s (canceled job leaked to a worker)", lease.ID, idRun)
 	}
-	// Cancel a running job: its context is canceled and the worker's
-	// late settle is dropped.
+	// Cancel a running job: its context is canceled, its observer sees
+	// the cancellation once, and the worker's late settle is dropped.
 	ctx, cancel := context.WithCancel(context.Background())
-	q.attachCancel(lease.ID, cancel)
+	var observed []JobState
+	q.attach(lease.ID, cancel, func(st JobState) { observed = append(observed, st) })
 	if !q.Cancel(lease.ID) {
 		t.Fatal("Cancel(running) = false")
 	}
@@ -304,6 +305,9 @@ func TestQueueCancel(t *testing.T) {
 	q.Complete(lease.ID, &SampleResponse{}) // late worker settle
 	if st, _ := q.Get(lease.ID); st.State != JobCanceled || st.Result != nil {
 		t.Fatalf("late settle overwrote cancellation: %+v", st)
+	}
+	if len(observed) != 1 || observed[0] != JobCanceled {
+		t.Fatalf("observed outcomes = %v, want [canceled]", observed)
 	}
 	// Terminal jobs cannot be re-canceled.
 	if q.Cancel(lease.ID) {
@@ -609,7 +613,7 @@ func TestQueueCoalescingPromotion(t *testing.T) {
 		f1, _, _ := q.Submit(req, "b", PriorityBatch)
 		lease := drain(t, q, 1)[0]
 		ctx, cancel := context.WithCancel(context.Background())
-		q.attachCancel(lease.ID, cancel)
+		q.attach(lease.ID, cancel, func(JobState) {})
 		if !q.Cancel(primary) {
 			t.Fatal("Cancel(running primary) = false")
 		}
@@ -660,5 +664,50 @@ func TestQueueCoalescingPriorityIsolation(t *testing.T) {
 	}
 	if d := q.Depth(); d != 2 {
 		t.Fatalf("depth = %d, want 2", d)
+	}
+}
+
+// TestQueueObserverRunsBeforeWatchersWake pins the order the job API's
+// outcome metric relies on: a running job's observer is told its
+// outcome before the settling transition wakes any watcher, so a client
+// whose long-poll returns already sees the job counted. The observer of
+// a job canceled before attach is told at once.
+func TestQueueObserverRunsBeforeWatchersWake(t *testing.T) {
+	q := NewJobQueue(8, time.Minute)
+	for _, tc := range []struct {
+		name   string
+		settle func(id string)
+		want   JobState
+	}{
+		{"complete", func(id string) { q.Complete(id, &SampleResponse{}) }, JobDone},
+		{"fail", func(id string) { q.Fail(id, 503, "sampler died") }, JobFailed},
+		{"cancel", func(id string) { q.Cancel(id) }, JobCanceled},
+	} {
+		id, _, _ := q.Submit(SampleRequest{Seed: int64(len(tc.name))}, "a", PriorityBatch)
+		lease := drain(t, q, 1)[0]
+		_, changed, _ := q.Watch(id)
+		var observed []JobState
+		q.attach(lease.ID, func() {}, func(st JobState) {
+			select {
+			case <-changed:
+				t.Errorf("%s: watcher woke before the outcome was observed", tc.name)
+			default:
+			}
+			observed = append(observed, st)
+		})
+		tc.settle(id)
+		<-changed
+		if len(observed) != 1 || observed[0] != tc.want {
+			t.Errorf("%s: observed %v, want [%v]", tc.name, observed, tc.want)
+		}
+	}
+
+	id, _, _ := q.Submit(SampleRequest{Seed: 99}, "a", PriorityBatch)
+	drain(t, q, 1)
+	q.Cancel(id)
+	var observed []JobState
+	q.attach(id, func() {}, func(st JobState) { observed = append(observed, st) })
+	if len(observed) != 1 || observed[0] != JobCanceled {
+		t.Errorf("attach after cancel: observed %v, want [canceled]", observed)
 	}
 }

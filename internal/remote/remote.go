@@ -154,6 +154,7 @@ type Server struct {
 	sem     chan struct{}
 
 	expiredSeen atomic.Uint64 // queue expiries already published to Metrics
+	depthMu     sync.Mutex    // orders queue-depth reads with their gauge stores
 }
 
 // semaphore lazily builds the concurrency limiter (nil = unlimited).

@@ -2,6 +2,7 @@ package smtlib
 
 import (
 	"fmt"
+	"slices"
 
 	"qsmt"
 	"qsmt/internal/core"
@@ -57,6 +58,17 @@ type Compilation struct {
 // where "length" is (= (str.len x) n) in either orientation. Assertions
 // mentioning no variables are evaluated as ground facts.
 func Compile(sc *Script) (*Compilation, error) {
+	// A symbol the script never declared is named here; ground
+	// evaluation would report it as a term it cannot evaluate.
+	terms := append(slices.Clone(sc.Asserts), sc.Objectives...)
+	for _, s := range sc.Softs {
+		terms = append(terms, s.Term)
+	}
+	for _, t := range terms {
+		if u := undeclaredSymbol(t, sc.Decls); u != nil {
+			return nil, posErr(u, "undeclared symbol "+u.Atom)
+		}
+	}
 	comp := &Compilation{}
 	perVar := map[string][]*Node{}
 	for _, a := range sc.Asserts {

@@ -242,6 +242,26 @@ func TestCompileRejectsMultiVariable(t *testing.T) {
 	}
 }
 
+// An assertion over a symbol the script never declared names the
+// symbol, wherever it sits: alone, beside a declared variable, or in a
+// soft term; ground evaluation used to report it as a term it cannot
+// evaluate as an integer or string.
+func TestCompileUndeclaredSymbolNamed(t *testing.T) {
+	for _, src := range []string{
+		`(assert (= x "a"))`,
+		`(declare-const y String)(assert (= (str.len x) 2))`,
+		`(declare-const y String)(assert (= y (str.++ x "a")))`,
+		`(declare-const y String)(assert (= (str.len y) 2))(assert-soft (= y x))`,
+	} {
+		_, err := Compile(mustScript(t, src))
+		if err == nil || !strings.Contains(err.Error(), "undeclared symbol x") {
+			t.Errorf("%s: err = %v, want one naming the undeclared symbol x", src, err)
+		}
+	}
+	// Theory constants and declared variables are not undeclared.
+	mustCompile(t, `(declare-const y String)(assert (= (str.len y) 2))(assert true)`)
+}
+
 func TestCompileConflictingLengths(t *testing.T) {
 	if _, err := Compile(mustScript(t, `
 		(declare-const x String)

@@ -2,6 +2,7 @@ package smtlib
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"qsmt/internal/regexlite"
@@ -316,6 +317,26 @@ func mentions(n *Node, name string) bool {
 		}
 	}
 	return false
+}
+
+// undeclaredSymbol returns the first symbol of term n outside operator
+// position that is neither a declared variable nor true or false, or
+// nil. Macros are expanded at parse time, so the script never declared
+// it.
+func undeclaredSymbol(n *Node, decls []Decl) *Node {
+	if n.Head() == "_" { // an indexed identifier names an operator
+		return nil
+	}
+	if n.Kind == NodeSymbol && n.Atom != "true" && n.Atom != "false" &&
+		!slices.ContainsFunc(decls, func(d Decl) bool { return d.Name == n.Atom }) {
+		return n
+	}
+	for i, c := range n.List {
+		if u := undeclaredSymbol(c, decls); u != nil && (i > 0 || c.Kind != NodeSymbol) {
+			return u
+		}
+	}
+	return nil
 }
 
 // mentionedVars returns the declared variables referenced by n, in

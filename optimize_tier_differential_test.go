@@ -111,8 +111,8 @@ func bruteForceStrings(t *testing.T, hard Constraint, obj core.Objective, n int,
 }
 
 // TestOptimizeSampledEntriesFanOut: entries above the exact tier go to
-// the sampler, one goroutine per entry after the first (make optsmoke
-// runs this under -race). Periodic(2, 6) ties positions 0, 2, 4 and
+// the sampler, one goroutine per entry after the first (make race
+// runs it under the race detector). Periodic(2, 6) ties positions 0, 2, 4 and
 // 1, 3, 5, so with the MinEditsFrom auxiliaries it plans onto two
 // 24-variable components, and each class of three positions costs at
 // least two edits against "abcabc".

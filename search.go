@@ -152,7 +152,9 @@ func (s *Solver) tierOf(compiled *qubo.Compiled) tier {
 
 // sampleEntry solves one entry for one attempt through its tier, writing
 // the entry's set and err. It touches no shared state, so entries may
-// be sampled concurrently.
+// be sampled concurrently. A sampled shard's rows must match its width
+// (Scatter places them by position); a whole-model entry's rows go to
+// Decode, which rejects an off-width row itself.
 func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal int) {
 	switch p.tier {
 	case tierClosedForm:
@@ -163,6 +165,14 @@ func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal
 		p.set, p.err = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt, Workers: 1}, p.compiled)
 	default:
 		p.set, p.err = s.sample(ctx, withStates(s.samplerFor(attempt), p.seeds), p.compiled)
+		if p.err == nil && p.shard != nil {
+			for _, smp := range p.set.Samples {
+				if len(smp.X) != p.compiled.N {
+					p.err = fmt.Errorf("sampler returned a row of %d variables, want %d", len(smp.X), p.compiled.N)
+					break
+				}
+			}
+		}
 	}
 }
 
