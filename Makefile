@@ -49,11 +49,12 @@ perfbenchcheck:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz: a fixed short smoke of the native Go fuzz targets for the
-## SMT-LIB front end (lexer/parser and the interpreter's check-sat path)
-## and the remote surface (Retry-After hints, SampleRequest decode and
-## validation, the PUT /v1/cache model upload), so malformed input that
-## panics the CLI or the daemon is caught in CI without an open-ended
-## fuzzing budget.
+## SMT-LIB front end (lexer/parser and the interpreter's check-sat path),
+## the remote surface (Retry-After hints, SampleRequest decode and
+## validation, the PUT /v1/cache model upload) and the exact enumerator
+## (differential against a per-state brute force), so malformed input
+## that panics the CLI or the daemon, or a model the enumerator gets
+## wrong, is caught in CI without an open-ended fuzzing budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSExprs -fuzztime 5s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzParseScript -fuzztime 5s ./internal/smtlib
@@ -61,4 +62,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseRetryAfter -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzSampleRequest -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzCachePut -fuzztime 5s ./internal/remote
+	$(GO) test -run '^$$' -fuzz FuzzExactSolver -fuzztime 5s ./internal/anneal
 

@@ -364,13 +364,13 @@ func crossoverModel(n int) *qubo.Compiled {
 }
 
 // BenchmarkTierCrossover times the two tiers a coupled plan entry can
-// take on random degree-~8 QUBOs (crossoverModel) of n = 8…20 variables:
+// take on random degree-~8 QUBOs (crossoverModel) of n = 8…24 variables:
 // single-worker exact enumeration keeping 16 candidates, as the exact
 // tier runs it, against the default 64-read × 1000-sweep simulated
 // annealer. Where the rows cross sets DefaultExactShardVars; the
 // figures are recorded in EXPERIMENTS.md.
 func BenchmarkTierCrossover(b *testing.B) {
-	for _, n := range []int{8, 12, 16, 18, 20} {
+	for _, n := range []int{8, 12, 16, 18, 20, 22, 24} {
 		c := crossoverModel(n)
 		for _, tc := range []struct {
 			name    string

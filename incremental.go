@@ -114,8 +114,9 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 	}
 	shards := qubo.Components(model)
 	st.Shards = len(shards)
+	attempts, limit, _ := s.opts.searchLimits()
 	pl := plan{model: model, entries: make([]shardPlan, len(shards)), mergeOnly: true,
-		attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
+		attempts: attempts, limit: limit}
 	for i := range shards {
 		pl.entries[i].shard = &shards[i]
 	}

@@ -6,24 +6,38 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
+	"sort"
+	"sync"
 
 	"qsmt/internal/qubo"
 )
 
-// MaxExactVars bounds exhaustive enumeration: 2^28 states with an O(degree)
-// incremental update is the practical ceiling for a validation pass.
+// MaxExactVars bounds exhaustive enumeration: states are packed into
+// uint64 keys, and 2^28 table-scored states is the practical ceiling for
+// a validation pass.
 const MaxExactVars = 28
+
+// exactTableBits is the width of the split table: the lowest
+// min(N, exactTableBits) variables are scored from per-solve tables, so
+// the walk over the remaining variables pays one adjacency scan per
+// 2^exactTableBits states.
+const exactTableBits = 10
 
 // ExactSolver enumerates every assignment and returns the true ground
 // state(s). It exists to validate annealer outputs on small models (the
 // paper's Table 1 instances with short strings fit) and to measure
 // ground-state hit rates exactly.
+//
+// The result is a function of the model alone: every returned energy is
+// c.Energy(x), and equal energies are ordered by bit string, so Workers
+// changes only the speed.
 type ExactSolver struct {
 	// Tol widens the returned set to every state within Tol of the
 	// minimum energy (0 returns only ground states). States within
 	// TieTolerance of the minimum always count as ground states: the
-	// Gray walk sums FlipDelta steps, so true ties drift apart by
-	// rounding error.
+	// enumeration's table sums and c.Energy's summation order round
+	// differently, so true ties can differ in their last bits.
 	Tol float64
 	// MaxStates caps how many (near-)ground states are returned
 	// (default 64; the minimum-energy state is always included).
@@ -59,111 +73,258 @@ func (ex *ExactSolver) SampleContext(ctx context.Context, c *qubo.Compiled) (*Sa
 		maxStates = 64
 	}
 
-	// Split on the top `split` bits; each worker enumerates the rest in
-	// Gray-code order with O(degree) incremental energy updates.
+	// The lowest k bits are scored from tables; the remaining high bits
+	// are walked in Gray order, the top `split` of them fixed per block
+	// so blocks can run on separate workers.
+	t := newSplitTable(c)
+	defer tablePool.Put(t.buf)
+	workers := ex.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	split := 0
-	for (1 << split) < 4*maxInt(ex.Workers, 1) {
-		split++
+	if workers > 1 {
+		for (1 << split) < 4*workers {
+			split++
+		}
 	}
-	if split > c.N-1 {
-		split = maxInt(c.N-1, 0)
+	if high := c.N - t.k; split > high {
+		split = high
 	}
-	blocks := 1 << split
-	low := c.N - split // number of Gray-enumerated bits
 
-	results := make([]blockResult, blocks)
-	parallelForCtx(ctx, blocks, ex.Workers, func(b int) {
-		results[b] = enumerateBlock(ctx, c, b, split, low, ex.Tol, maxStates)
+	results := make([]blockResult, 1<<split)
+	parallelForCtx(ctx, len(results), workers, func(b int) {
+		results[b] = t.enumerate(ctx, c, b, split, ex.Tol, maxStates)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, abortErr(err)
 	}
 
-	// Merge: global minimum first, then states within Tol.
+	// Merge on canonical energies: global minimum first, then the states
+	// within Tol of it, in sortStates order.
+	all := results[0].states
+	for _, r := range results[1:] {
+		all = append(all, r.states...)
+	}
+	x := make([]Bit, c.N)
+	canonicalize(c, all, x)
 	best := math.Inf(1)
-	for _, r := range results {
-		if r.min < best {
-			best = r.min
-		}
+	for _, s := range all {
+		best = math.Min(best, s.e)
 	}
-	tol := ex.Tol + TieTolerance(best)
-	var raw []Sample
-	for _, r := range results {
-		for _, s := range r.states {
-			if s.Energy-best <= tol {
-				raw = append(raw, s)
-			}
-		}
+	all = pruneStates(c, all, best, ex.Tol, maxStates, x)
+	sortStates(all)
+	arena := make([]Bit, len(all)*c.N)
+	out := make([]Sample, len(all))
+	for i, s := range all {
+		xi := arena[i*c.N : (i+1)*c.N : (i+1)*c.N]
+		unpackKey(s.key, xi)
+		out[i] = Sample{X: xi, Energy: s.e, Occurrences: 1}
 	}
-	ss := aggregate(raw)
-	if len(ss.Samples) > maxStates {
-		ss.Samples = ss.Samples[:maxStates]
-	}
-	return ss, nil
+	return &SampleSet{Samples: out}, nil
+}
+
+// exactState is one recorded assignment: bit i of key is x_i, and e its
+// energy (table-summed until canonicalize replaces it by c.Energy).
+type exactState struct {
+	key uint64
+	e   float64
 }
 
 type blockResult struct {
 	min    float64
-	states []Sample
+	states []exactState
 }
 
-// enumerateBlock fixes the top `split` bits to the binary expansion of
-// block and walks all 2^low assignments of the remaining bits in Gray-code
-// order.
-func enumerateBlock(ctx context.Context, c *qubo.Compiled, block, split, low int, tol float64, maxStates int) blockResult {
-	x := make([]Bit, c.N)
-	for b := 0; b < split; b++ {
-		x[low+b] = Bit((block >> b) & 1)
-	}
-	e := c.Energy(x)
-	res := blockResult{min: e}
-	cut := tol + TieTolerance(e)
-	record := func() {
-		if e < res.min {
-			res.min = e
-			cut = tol + TieTolerance(e)
+// splitTable holds the per-solve tables of the split enumeration. The
+// energy splits as E(x) = E_H(x_H) + E_L(x_L) + Σ_{l<k} x_l·f_l(x_H):
+// the high part (offset, high linears, high–high couplers), the low
+// part (low linears, low–low couplers, tabulated here once), and the
+// cross fields f_l = Σ_{j≥k} W_lj·x_j the high bits induce on the low
+// ones.
+type splitTable struct {
+	k   int       // low (tabulated) bits: variables 0..k-1
+	el  []float64 // el[s]: E_L of low assignment s
+	buf *table    // el's pooled storage
+}
+
+// table is the storage of one 2^k-entry table. The exact tier runs once
+// per small component, so its tables are pooled rather than allocated
+// per solve; every user overwrites all 2^k entries it reads.
+type table [1 << exactTableBits]float64
+
+var tablePool = sync.Pool{New: func() any { return new(table) }}
+
+func newSplitTable(c *qubo.Compiled) *splitTable {
+	k := min(c.N, exactTableBits)
+	buf := tablePool.Get().(*table)
+	t := &splitTable{k: k, el: buf[:1<<k], buf: buf}
+	t.el[0] = 0
+	// el[2^b + s] = el[s] + h_b + Σ_{j∈s} W_bj, over b's couplers to
+	// lower bits (w, dense).
+	var w [exactTableBits]float64
+	for b := 0; b < k; b++ {
+		clear(w[:])
+		for q := c.RowStart[b]; q < c.RowStart[b+1]; q++ {
+			if j := int(c.NeighJ[q]); j < b {
+				w[j] = c.NeighW[q]
+			}
 		}
-		if e-res.min <= cut {
-			cp := make([]Bit, len(x))
-			copy(cp, x)
-			res.states = append(res.states, Sample{X: cp, Energy: e, Occurrences: 1})
-			// Opportunistic pruning keeps memory bounded; the final
-			// merge re-filters against the global minimum.
-			if len(res.states) > 4*maxStates {
-				res.states = pruneStates(res.states, res.min, tol, maxStates)
+		lo, hi := t.el[:1<<b], t.el[1<<b:2<<b]
+		for s, v := range lo {
+			d := c.Linear[b]
+			for r := s; r != 0; r &= r - 1 {
+				d += w[bits.TrailingZeros(uint(r))]
+			}
+			hi[s] = v + d
+		}
+	}
+	return t
+}
+
+// subsetSums fills dst (length 2^len(w)) with dst[s] = base + Σ_{j∈s} w[j].
+func subsetSums(dst []float64, base float64, w []float64) {
+	dst[0] = base
+	for j, wj := range w {
+		lo, hi := dst[:1<<j], dst[1<<j:2<<j]
+		for s, v := range lo {
+			hi[s] = v + wj
+		}
+	}
+}
+
+// enumerate fixes the top `split` bits to the binary expansion of block
+// and walks the free high bits between them and the table in Gray-code
+// order. Each high state updates the high energy and the cross fields
+// with one adjacency scan of the flipped variable, builds
+// lin[s] = E_H + Σ_{l∈s} f_l, and scores all 2^k low states as
+// el[s] + lin[s] with no neighbour walk. A state is
+// recorded only while it lies under the running cut.
+func (t *splitTable) enumerate(ctx context.Context, c *qubo.Compiled, block, split int, tol float64, maxStates int) blockResult {
+	k := t.k
+	free := c.N - k - split
+	x := make([]Bit, c.N)
+	var hkey uint64
+	for b := 0; b < split; b++ {
+		if (block>>b)&1 != 0 {
+			v := k + free + b
+			x[v] = 1
+			hkey |= 1 << v
+		}
+	}
+	eh := c.Energy(x) // the low bits are 0, so this is E_H
+	f := make([]float64, k)
+	for l := range f {
+		for q := c.RowStart[l]; q < c.RowStart[l+1]; q++ {
+			if j := c.NeighJ[q]; int(j) >= k && x[j] != 0 {
+				f[l] += c.NeighW[q]
 			}
 		}
 	}
-	record()
-	total := uint64(1) << low
-	for k := uint64(1); k < total; k++ {
-		if k&0x1fff == 0 && ctx.Err() != nil {
-			break // partial block; the caller's ctx check discards it
+	buf := tablePool.Get().(*table)
+	lin := buf[:1<<k]
+	el := t.el[:len(lin)]
+	res := blockResult{min: math.Inf(1)}
+	thresh := math.Inf(1)
+	for g := uint64(0); g < 1<<free; g++ {
+		if g != 0 {
+			if g&7 == 0 && ctx.Err() != nil {
+				break // partial block; the caller's ctx check discards it
+			}
+			i := k + bits.TrailingZeros64(g) // Gray code: flip the lowest set-bit position
+			sign := 1.0
+			if x[i] != 0 {
+				sign = -1
+			}
+			field := c.Linear[i]
+			for q := c.RowStart[i]; q < c.RowStart[i+1]; q++ {
+				if j := c.NeighJ[q]; int(j) < k {
+					f[j] += sign * c.NeighW[q]
+				} else if x[j] != 0 {
+					field += c.NeighW[q]
+				}
+			}
+			eh += sign * field
+			x[i] ^= 1
+			hkey ^= 1 << i
 		}
-		i := bits.TrailingZeros64(k) // Gray code: flip the lowest set-bit position
-		e += c.FlipDelta(x, i)
-		x[i] ^= 1
-		record()
+		subsetSums(lin, eh, f)
+		for s, v := range lin {
+			if e := el[s] + v; e <= thresh {
+				if e < res.min {
+					res.min = e
+					thresh = e + tol + TieTolerance(e)
+				}
+				res.states = append(res.states, exactState{key: hkey | uint64(s), e: e})
+				// Opportunistic pruning keeps memory bounded; the final
+				// merge re-filters against the global minimum.
+				if len(res.states) > 4*maxStates {
+					res.states = pruneStates(c, res.states, res.min, tol, 2*maxStates, x)
+				}
+			}
+		}
 	}
-	res.states = pruneStates(res.states, res.min, tol, maxStates)
+	res.states = pruneStates(c, res.states, res.min, tol, 2*maxStates, x)
+	tablePool.Put(buf) // not deferred: a defer here slowed the scoring loop by about 20%
 	return res
 }
 
-func pruneStates(states []Sample, min, tol float64, maxStates int) []Sample {
-	tol += TieTolerance(min)
+// pruneStates drops the states above min's cut and, when more than
+// limit remain, keeps the limit first in sortStates order on canonical
+// energies. x is the caller's assignment buffer, used as scratch and
+// left unchanged.
+func pruneStates(c *qubo.Compiled, states []exactState, min, tol float64, limit int, x []Bit) []exactState {
+	cut := min + tol + TieTolerance(min)
 	kept := states[:0]
 	for _, s := range states {
-		if s.Energy-min <= tol {
+		if s.e <= cut {
 			kept = append(kept, s)
 		}
 	}
-	if len(kept) > 2*maxStates {
-		// Keep the lowest energies; order within the block is arbitrary,
-		// the global aggregate sorts properly.
-		agg := aggregate(kept)
-		kept = agg.Samples[:2*maxStates]
+	if len(kept) > limit {
+		canonicalize(c, kept, x)
+		sortStates(kept)
+		kept = kept[:limit]
 	}
 	return kept
+}
+
+// canonicalize replaces every state's energy with c.Energy of its
+// assignment, so energies — and the order they set — do not depend on
+// the path the enumeration took. It restores x afterwards.
+func canonicalize(c *qubo.Compiled, states []exactState, x []Bit) {
+	saved := packKey(x)
+	for i := range states {
+		unpackKey(states[i].key, x)
+		states[i].e = c.Energy(x)
+	}
+	unpackKey(saved, x)
+}
+
+// sortStates orders states by energy, then by bit string read from x_0
+// (the reversed key), the order aggregate gives every other sampler's
+// set.
+func sortStates(states []exactState) {
+	sort.Slice(states, func(a, b int) bool {
+		if states[a].e != states[b].e {
+			return states[a].e < states[b].e
+		}
+		return bits.Reverse64(states[a].key) < bits.Reverse64(states[b].key)
+	})
+}
+
+func packKey(x []Bit) uint64 {
+	var key uint64
+	for i, v := range x {
+		key |= uint64(v&1) << i
+	}
+	return key
+}
+
+func unpackKey(key uint64, x []Bit) {
+	for i := range x {
+		x[i] = Bit(key>>i) & 1
+	}
 }
 
 // TieTolerance is the energy gap near e below which two states count as

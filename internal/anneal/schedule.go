@@ -63,8 +63,8 @@ func DefaultSchedule(c *qubo.Compiled) GeometricSchedule {
 	for i := 0; i < c.N; i++ {
 		// Bound on |ΔE| for flipping i: |h_i| + Σ |W_ij|.
 		d := math.Abs(c.Linear[i])
-		for _, nb := range c.Neigh[i] {
-			d += math.Abs(nb.W)
+		for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+			d += math.Abs(c.NeighW[p])
 		}
 		if d > maxDelta {
 			maxDelta = d
@@ -76,8 +76,8 @@ func DefaultSchedule(c *qubo.Compiled) GeometricSchedule {
 		if a := math.Abs(c.Linear[i]); a > 0 && a < minDelta {
 			minDelta = a
 		}
-		for _, nb := range c.Neigh[i] {
-			if a := math.Abs(nb.W); a > 0 && a < minDelta {
+		for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+			if a := math.Abs(c.NeighW[p]); a > 0 && a < minDelta {
 				minDelta = a
 			}
 		}

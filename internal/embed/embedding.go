@@ -117,10 +117,10 @@ func chainsCoupled(a, b []int, hw *Graph) bool {
 // QUBO: one vertex per variable, one edge per nonzero coupler.
 func InteractionGraph(c *qubo.Compiled) *Graph {
 	g := NewGraph(c.N)
-	for i, ns := range c.Neigh {
-		for _, nb := range ns {
-			if nb.J > i {
-				g.AddEdge(i, nb.J)
+	for i := 0; i < c.N; i++ {
+		for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+			if j := int(c.NeighJ[p]); j > i {
+				g.AddEdge(i, j)
 			}
 		}
 	}

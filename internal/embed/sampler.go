@@ -56,10 +56,10 @@ func (es *EmbeddedSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) {
 			logical.SetLinear(i, h)
 		}
 	}
-	for i, ns := range c.Neigh {
-		for _, nb := range ns {
-			if nb.J > i {
-				logical.SetQuadratic(i, nb.J, nb.W)
+	for i := 0; i < c.N; i++ {
+		for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+			if j := int(c.NeighJ[p]); j > i {
+				logical.SetQuadratic(i, j, c.NeighW[p])
 			}
 		}
 	}

@@ -80,10 +80,10 @@ func NaiveLowerBound(c *qubo.Compiled) float64 {
 			bound += d
 		}
 	}
-	for i, ns := range c.Neigh {
-		for _, nb := range ns {
-			if nb.J > i && nb.W < 0 { // each coupler is stored twice
-				bound += nb.W
+	for i := 0; i < c.N; i++ {
+		for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+			if int(c.NeighJ[p]) > i && c.NeighW[p] < 0 { // each coupler is stored twice
+				bound += c.NeighW[p]
 			}
 		}
 	}

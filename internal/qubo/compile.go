@@ -2,74 +2,58 @@ package qubo
 
 import "fmt"
 
-// Neighbor is one coupler incident to a variable in a Compiled model.
-type Neighbor struct {
-	J int     // the other endpoint
-	W float64 // coupler weight Q_ij
-}
-
 // Compiled is an immutable adjacency view of a Model, laid out for the
-// annealer's inner loop. It carries the adjacency in two equivalent forms:
+// annealer's inner loop: a flat CSR triple (RowStart, NeighJ, NeighW),
+// one contiguous arena per field, so a per-flip neighbour walk is a
+// single sequential scan with no pointer chasing.
 //
-//   - Neigh, a slice-of-slices of Neighbor structs — the readable reference
-//     API used by FlipDelta, serialization, and the embedding layer;
-//   - a flat CSR triple (RowStart, NeighJ, NeighW) — one contiguous arena
-//     per field, so the annealing kernel's per-flip neighbor walk is a
-//     single sequential scan with no pointer chasing.
-//
-// Row i of the CSR view is NeighJ[RowStart[i]:RowStart[i+1]] (and the
-// matching NeighW range); entries appear in the same order as Neigh[i].
-// Compiled values are safe for concurrent use.
+// Row i is NeighJ[RowStart[i]:RowStart[i+1]] with the matching NeighW
+// range. Every coupler is stored twice, once in each endpoint's row, and
+// each row lists its neighbours in ascending index order (the order of
+// Model.Terms). Compiled values are safe for concurrent use.
 type Compiled struct {
 	N      int
 	Linear []float64
-	Neigh  [][]Neighbor
 	Offset float64
 
-	// Flat CSR adjacency. Indices are int32: a model with ≥2^31 variables
-	// or couplers would not fit in memory long before overflowing these.
+	// CSR adjacency. Indices are int32: a model with ≥2^31 variables or
+	// couplers would not fit in memory long before overflowing these.
 	RowStart []int32
 	NeighJ   []int32
 	NeighW   []float64
 }
 
-// Compile freezes the model into adjacency-list + CSR form.
+// Compile freezes the model into CSR form.
 func (m *Model) Compile() *Compiled {
+	terms := m.Terms()
 	c := &Compiled{
-		N:      m.n,
-		Linear: make([]float64, m.n),
-		Neigh:  make([][]Neighbor, m.n),
-		Offset: m.offset,
+		N:        m.n,
+		Linear:   make([]float64, m.n),
+		Offset:   m.offset,
+		RowStart: make([]int32, m.n+1),
 	}
 	copy(c.Linear, m.diag)
-	deg := make([]int, m.n)
-	for k := range m.quad {
-		deg[k.I]++
-		deg[k.J]++
+	for _, t := range terms {
+		c.RowStart[t.I+1]++
+		c.RowStart[t.J+1]++
 	}
-	for i, d := range deg {
-		if d > 0 {
-			c.Neigh[i] = make([]Neighbor, 0, d)
-		}
-	}
-	for _, t := range m.Terms() {
-		c.Neigh[t.I] = append(c.Neigh[t.I], Neighbor{J: t.J, W: t.W})
-		c.Neigh[t.J] = append(c.Neigh[t.J], Neighbor{J: t.I, W: t.W})
-	}
-	c.RowStart = make([]int32, m.n+1)
-	for i, ns := range c.Neigh {
-		c.RowStart[i+1] = c.RowStart[i] + int32(len(ns))
+	for i := 0; i < m.n; i++ {
+		c.RowStart[i+1] += c.RowStart[i]
 	}
 	nnz := c.RowStart[m.n]
 	c.NeighJ = make([]int32, nnz)
 	c.NeighW = make([]float64, nnz)
-	p := 0
-	for _, ns := range c.Neigh {
-		for _, nb := range ns {
-			c.NeighJ[p] = int32(nb.J)
-			c.NeighW[p] = nb.W
-			p++
-		}
+	next := make([]int32, m.n)
+	copy(next, c.RowStart)
+	// Terms are sorted by (I, J), so row i receives its lower neighbours
+	// (terms (h, i), h < i) before its upper ones, each in ascending order.
+	for _, t := range terms {
+		p := next[t.I]
+		c.NeighJ[p], c.NeighW[p] = int32(t.J), t.W
+		next[t.I]++
+		p = next[t.J]
+		c.NeighJ[p], c.NeighW[p] = int32(t.I), t.W
+		next[t.J]++
 	}
 	return c
 }
@@ -85,27 +69,28 @@ func (c *Compiled) Energy(x []Bit) float64 {
 			e += h
 		}
 	}
-	for i, ns := range c.Neigh {
+	for i := 0; i < c.N; i++ {
 		if x[i] == 0 {
 			continue
 		}
-		for _, nb := range ns {
-			if nb.J > i && x[nb.J] != 0 { // count each coupler once
-				e += nb.W
+		for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+			if j := int(c.NeighJ[p]); j > i && x[j] != 0 { // count each coupler once
+				e += c.NeighW[p]
 			}
 		}
 	}
 	return e
 }
 
-// FlipDelta returns E(x with bit i flipped) − E(x) without mutating x.
-// This is the annealer's hot path: O(degree(i)).
+// FlipDelta returns E(x with bit i flipped) − E(x) without mutating x,
+// in O(degree(i)). The kernels keep incremental fields instead; tests
+// and benchmarks use FlipDelta as their reference.
 func (c *Compiled) FlipDelta(x []Bit, i int) float64 {
 	// Local field at i: h_i + Σ_j W_ij x_j.
 	field := c.Linear[i]
-	for _, nb := range c.Neigh[i] {
-		if x[nb.J] != 0 {
-			field += nb.W
+	for p := c.RowStart[i]; p < c.RowStart[i+1]; p++ {
+		if x[c.NeighJ[p]] != 0 {
+			field += c.NeighW[p]
 		}
 	}
 	if x[i] == 0 { // 0 -> 1 adds the field
@@ -115,4 +100,4 @@ func (c *Compiled) FlipDelta(x []Bit, i int) float64 {
 }
 
 // Degree returns the number of couplers incident to variable i.
-func (c *Compiled) Degree(i int) int { return len(c.Neigh[i]) }
+func (c *Compiled) Degree(i int) int { return int(c.RowStart[i+1] - c.RowStart[i]) }

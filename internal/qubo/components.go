@@ -78,14 +78,23 @@ func Components(m *Model) []Shard {
 	// single sweep over the diagonal and coupler storage.
 	local := make([]int, m.n) // global -> local index
 	which := make([]int, m.n) // global -> shard ordinal
-	shards := make([]Shard, len(roots))
 	for s, r := range roots {
-		vars := members[r]
-		shards[s] = Shard{Vars: vars, Model: New(len(vars))}
-		for k, g := range vars {
+		for k, g := range members[r] {
 			local[g] = k
 			which[g] = s
 		}
+	}
+	// Size each shard's coupler map up front. The union-find is done
+	// with parent, so it holds the per-shard counts.
+	couplers := parent[:len(roots)]
+	clear(couplers)
+	for k := range m.quad {
+		couplers[which[k.I]]++
+	}
+	shards := make([]Shard, len(roots))
+	for s, r := range roots {
+		vars := members[r]
+		shards[s] = Shard{Vars: vars, Model: newModel(len(vars), couplers[s])}
 	}
 	for g, v := range m.diag {
 		if v != 0 {

@@ -281,11 +281,24 @@ func PresolveProtected(m *Model, protected []bool) *Reduction {
 		adj:       make([]map[int]float64, m.n),
 		alive:     make([]bool, m.n),
 		offset:    m.offset,
+		steps:     make([]liftStep, 0, m.n),
 		protected: protected,
 	}
 	copy(p.h, m.diag)
 	for i := range p.alive {
 		p.alive[i] = true
+	}
+	// Size every adjacency map to its variable's degree: merges only
+	// fold couplers onto existing neighbours, so maps rarely grow.
+	deg := make([]int32, m.n)
+	for k := range m.quad {
+		deg[k.I]++
+		deg[k.J]++
+	}
+	for i, d := range deg {
+		if d > 0 {
+			p.adj[i] = make(map[int]float64, d)
+		}
 	}
 	for k, w := range m.quad {
 		if w == 0 {
@@ -486,7 +499,11 @@ func (p *presolver) finish(m *Model) *Reduction {
 			vars = append(vars, i)
 		}
 	}
-	red := New(len(vars))
+	couplers := 0
+	for _, g := range vars {
+		couplers += len(p.adj[g])
+	}
+	red := newModel(len(vars), couplers/2)
 	red.AddOffset(p.offset)
 	for k, g := range vars {
 		if p.h[g] != 0 {

@@ -35,13 +35,18 @@ type Model struct {
 
 // New returns an empty QUBO model over n binary variables.
 func New(n int) *Model {
+	return newModel(n, 0)
+}
+
+// newModel is New with the coupler map sized for couplers entries.
+func newModel(n, couplers int) *Model {
 	if n < 0 {
 		panic(fmt.Sprintf("qubo: negative variable count %d", n))
 	}
 	return &Model{
 		n:    n,
 		diag: make([]float64, n),
-		quad: make(map[key]float64),
+		quad: make(map[key]float64, couplers),
 	}
 }
 

@@ -438,34 +438,41 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestCompileCSRMatchesNeigh(t *testing.T) {
+// TestCompileCSRMatchesTerms pins each CSR row against Model.Terms():
+// row i lists, in Terms order, the other endpoint and weight of every
+// term touching i, so every coupler is stored twice.
+func TestCompileCSRMatchesTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(24)
-		c := randModel(rng, n).Compile()
+		m := randModel(rng, n)
+		c := m.Compile()
 		if len(c.RowStart) != n+1 || c.RowStart[0] != 0 {
 			t.Fatalf("trial %d: RowStart shape %v", trial, c.RowStart)
 		}
-		if int(c.RowStart[n]) != len(c.NeighJ) || len(c.NeighJ) != len(c.NeighW) {
-			t.Fatalf("trial %d: CSR arena sizes %d/%d/%d", trial, c.RowStart[n], len(c.NeighJ), len(c.NeighW))
+		terms := m.Terms()
+		if int(c.RowStart[n]) != 2*len(terms) || len(c.NeighJ) != 2*len(terms) || len(c.NeighW) != 2*len(terms) {
+			t.Fatalf("trial %d: CSR arena sizes %d/%d/%d for %d terms", trial, c.RowStart[n], len(c.NeighJ), len(c.NeighW), len(terms))
 		}
-		for i := 0; i < n; i++ {
+		type entry struct {
+			j int32
+			w float64
+		}
+		rows := make([][]entry, n)
+		for _, tm := range terms {
+			rows[tm.I] = append(rows[tm.I], entry{int32(tm.J), tm.W})
+			rows[tm.J] = append(rows[tm.J], entry{int32(tm.I), tm.W})
+		}
+		for i, want := range rows {
 			lo, hi := c.RowStart[i], c.RowStart[i+1]
-			if int(hi-lo) != len(c.Neigh[i]) {
-				t.Fatalf("trial %d: row %d has %d CSR entries, %d Neigh entries", trial, i, hi-lo, len(c.Neigh[i]))
+			if int(hi-lo) != len(want) || c.Degree(i) != len(want) {
+				t.Fatalf("trial %d: row %d has %d CSR entries (degree %d), want %d", trial, i, hi-lo, c.Degree(i), len(want))
 			}
 			for p := lo; p < hi; p++ {
-				nb := c.Neigh[i][p-lo]
-				if int(c.NeighJ[p]) != nb.J || c.NeighW[p] != nb.W {
-					t.Fatalf("trial %d: row %d entry %d: CSR (%d,%g) vs Neigh (%d,%g)",
-						trial, i, p-lo, c.NeighJ[p], c.NeighW[p], nb.J, nb.W)
+				if got := (entry{c.NeighJ[p], c.NeighW[p]}); got != want[p-lo] {
+					t.Fatalf("trial %d: row %d entry %d: CSR %v, Terms %v", trial, i, p-lo, got, want[p-lo])
 				}
 			}
-		}
-		// The CSR view must describe a symmetric adjacency with the same
-		// total coupler mass as the model.
-		if int(c.RowStart[n])%2 != 0 {
-			t.Fatalf("trial %d: odd CSR entry count %d", trial, c.RowStart[n])
 		}
 	}
 }

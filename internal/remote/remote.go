@@ -601,10 +601,10 @@ func modelFromCompiled(compiled *qubo.Compiled) *qubo.Model {
 			model.SetLinear(i, h)
 		}
 	}
-	for i, ns := range compiled.Neigh {
-		for _, nb := range ns {
-			if nb.J > i {
-				model.SetQuadratic(i, nb.J, nb.W)
+	for i := 0; i < compiled.N; i++ {
+		for p := compiled.RowStart[i]; p < compiled.RowStart[i+1]; p++ {
+			if j := int(compiled.NeighJ[p]); j > i {
+				model.SetQuadratic(i, j, compiled.NeighW[p])
 			}
 		}
 	}

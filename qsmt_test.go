@@ -227,6 +227,19 @@ func TestSolverWithExactSampler(t *testing.T) {
 	}
 }
 
+// The zero Solver{} searches with the same defaults as NewSolver(nil):
+// attempts, candidates per attempt and the exact-tier bound are resolved
+// where they are read, not only in NewSolver.
+func TestZeroValueSolverSolves(t *testing.T) {
+	res, err := (&Solver{}).Solve(Palindrome(4))
+	if err != nil {
+		t.Fatalf("zero Solver: %v", err)
+	}
+	if err := Palindrome(4).Check(res.Witness); err != nil {
+		t.Errorf("zero Solver witness %v: %v", res.Witness, err)
+	}
+}
+
 func TestSolverWithParallelTempering(t *testing.T) {
 	s := NewSolver(&Options{Sampler: &anneal.ParallelTempering{
 		Replicas: 6, Sweeps: 300, Reads: 4, Seed: 5,

@@ -101,16 +101,18 @@ func (s *Solver) newPlan(work *qubo.Model, red *qubo.Reduction, fullN int, st *S
 	shards := qubo.Components(work)
 	st.Shards = len(shards)
 	st.ShardFallback = len(shards) <= 1
-	return plan{model: work, red: red, entries: s.planShards(shards, red, fullN, st), attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt}
+	attempts, limit, _ := s.opts.searchLimits()
+	return plan{model: work, red: red, entries: s.planShards(shards, red, fullN, st), attempts: attempts, limit: limit}
 }
 
 // wholePlan is the one-entry plan that samples the compiled working
 // model with the configured sampler, without initial states.
 func (s *Solver) wholePlan(work *qubo.Model, red *qubo.Reduction, compiled *qubo.Compiled) plan {
+	attempts, limit, _ := s.opts.searchLimits()
 	return plan{
 		model: work, red: red, whole: true,
 		entries:  []shardPlan{{compiled: compiled, tier: tierSampled}},
-		attempts: s.opts.MaxAttempts, limit: s.opts.CandidatesPerAttempt,
+		attempts: attempts, limit: limit,
 	}
 }
 
@@ -144,7 +146,7 @@ func (s *Solver) planShards(shards []qubo.Shard, red *qubo.Reduction, fullN int,
 // entries are closed-form and never compiled): exact enumeration at
 // ExactShardVars variables or fewer, else the configured sampler.
 func (s *Solver) tierOf(compiled *qubo.Compiled) tier {
-	if compiled.N <= s.opts.ExactShardVars {
+	if _, _, exactVars := s.opts.searchLimits(); compiled.N <= exactVars {
 		return tierExact
 	}
 	return tierSampled
@@ -162,7 +164,8 @@ func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal
 	case tierExact:
 		// One enumeration worker: the call holds one batch-gate slot, and
 		// DefaultExactShardVars is the crossover measured single-worker.
-		p.set, p.err = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt, Workers: 1}, p.compiled)
+		_, limit, _ := s.opts.searchLimits()
+		p.set, p.err = s.sample(ctx, &anneal.ExactSolver{MaxStates: limit, Workers: 1}, p.compiled)
 	default:
 		p.set, p.err = s.sample(ctx, withStates(s.samplerFor(attempt), p.seeds), p.compiled)
 		if p.err == nil && p.shard != nil {

@@ -69,7 +69,7 @@ type Options struct {
 	// ExactShardVars is the shard size (in binary variables) at or below
 	// which a sharded solve enumerates the shard exhaustively instead of
 	// sampling it — exact, deterministic, and cheaper than 64×1000
-	// annealer reads at these sizes. Default 16; negative disables exact
+	// annealer reads at these sizes. Default 20; negative disables exact
 	// shard solving. Values above anneal.MaxExactVars are clamped.
 	ExactShardVars int
 }
@@ -98,30 +98,37 @@ func NewSolver(opts *Options) *Solver {
 	if opts != nil {
 		s.opts = *opts
 	}
-	if s.opts.MaxAttempts <= 0 {
-		s.opts.MaxAttempts = 4
-	}
 	if s.opts.Seed == 0 {
 		s.opts.Seed = 1
 	}
-	if s.opts.CandidatesPerAttempt <= 0 {
-		s.opts.CandidatesPerAttempt = 16
-	}
-	if s.opts.ExactShardVars == 0 {
-		s.opts.ExactShardVars = DefaultExactShardVars
-	}
-	if s.opts.ExactShardVars > anneal.MaxExactVars {
-		s.opts.ExactShardVars = anneal.MaxExactVars
-	}
+	s.opts.MaxAttempts, s.opts.CandidatesPerAttempt, s.opts.ExactShardVars = s.opts.searchLimits()
 	return s
+}
+
+// searchLimits resolves the attempt budget, the candidates kept per
+// attempt and the exact-tier bound, defaulting zero fields where they
+// are read, so the zero Solver{} searches with NewSolver(nil)'s budgets
+// instead of zero attempts.
+func (o *Options) searchLimits() (attempts, candidates, exactVars int) {
+	attempts, candidates, exactVars = o.MaxAttempts, o.CandidatesPerAttempt, o.ExactShardVars
+	if attempts <= 0 {
+		attempts = 4
+	}
+	if candidates <= 0 {
+		candidates = 16
+	}
+	if exactVars == 0 {
+		exactVars = DefaultExactShardVars
+	}
+	return attempts, candidates, min(exactVars, anneal.MaxExactVars)
 }
 
 // DefaultExactShardVars is the default Options.ExactShardVars, the
 // measured crossover of single-worker enumeration and the default
 // 64×1000 annealer on random QUBOs (BenchmarkTierCrossover,
-// EXPERIMENTS.md): at 16 variables enumeration costs about half an
-// anneal, at 18 already more than a whole one.
-const DefaultExactShardVars = 16
+// EXPERIMENTS.md): at 20 variables the split-table enumeration costs
+// about half an anneal, at 22 already more than a whole one.
+const DefaultExactShardVars = 20
 
 // compileModel compiles through the configured cache (straight through
 // when none is set) and tracks cache hits in the solve stats.

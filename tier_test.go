@@ -229,7 +229,7 @@ func TestTierRuleEmptyPlanRunsNoSampler(t *testing.T) {
 	}
 }
 
-// ExactShardVars defaults to 16, so the 16-variable shard of
+// ExactShardVars defaults to 20, so the 16-variable shard of
 // And(Periodic(2,8), Palindrome(8)) is enumerated with the five 8-variable
 // ones: no shard reaches the annealer.
 func TestTierRuleEnumeratesSixteenVariableShard(t *testing.T) {
@@ -265,7 +265,7 @@ func TestTierRuleSamplerLabel(t *testing.T) {
 	}{
 		{Palindrome(4), "exact"},
 		{Equality("hi"), "exact"},
-		{And(Periodic(2, 10), Palindrome(10)), "SimulatedAnnealer"}, // one 20-variable shard
+		{And(Periodic(2, 12), Palindrome(12)), "SimulatedAnnealer"}, // one 24-variable shard
 	} {
 		res, err := NewSolver(nil).Solve(tc.c)
 		if err != nil {
