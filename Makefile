@@ -52,9 +52,11 @@ perfbenchcheck:
 ## SMT-LIB front end (lexer/parser and the interpreter's check-sat path),
 ## the remote surface (Retry-After hints, SampleRequest decode and
 ## validation, the PUT /v1/cache model upload) and the exact enumerator
-## (differential against a per-state brute force), so malformed input
-## that panics the CLI or the daemon, or a model the enumerator gets
-## wrong, is caught in CI without an open-ended fuzzing budget.
+## (differential against a per-state brute force) and the component
+## partition (Partition against Components and FingerprintOf), so
+## malformed input that panics the CLI or the daemon, or a model the
+## enumerator or the partition gets wrong, is caught in CI without an
+## open-ended fuzzing budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSExprs -fuzztime 5s ./internal/smtlib
 	$(GO) test -run '^$$' -fuzz FuzzParseScript -fuzztime 5s ./internal/smtlib
@@ -63,4 +65,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSampleRequest -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzCachePut -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzExactSolver -fuzztime 5s ./internal/anneal
+	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 5s ./internal/qubo
 

@@ -15,16 +15,26 @@ import (
 // parent by one or two assertions, so almost all of the compiled QUBO
 // structure — and almost all of the sampling work — recurs verbatim
 // between a check-sat and the next. An IncrementalSession exploits that
-// at the component level: each query's model is decomposed into the
-// connected components of its variable-interaction graph
-// (qubo.Components), each component is identified by its canonical
-// content fingerprint (qubo.FingerprintOf), and components whose
-// fingerprints were already solved earlier in the session reuse the
-// memoized sample set outright — no presolve, no compile, no sampler
-// reads. Only the components an assertion delta actually touched are
-// re-presolved and re-sampled, and those are warm-started from the
-// parent frame's accepted witness (anneal.PolishSeed), so the child
-// query's sampler starts in the basin the parent already found.
+// at the component level, doing each frame's work once:
+//
+//   - one partition pass: qubo.Partition splits the query's model into
+//     the connected components of its variable-interaction graph and
+//     fingerprints each one (the canonical content fingerprint of
+//     qubo.FingerprintOf) in the same pass, building no component
+//     model; the fingerprints serve every attempt of the search;
+//   - models only on a miss: a component whose fingerprint was solved
+//     earlier in the session reuses the memoized sample set outright —
+//     no model, presolve, compile or sampler reads, since merging needs
+//     only its variables. A component's model is built (Shard.Induce)
+//     only when it is solved: on a memo miss, where it is presolved,
+//     compiled and sampled, warm-started from the parent frame's
+//     accepted witness (anneal.PolishSeed) so the child query's sampler
+//     starts in the basin the parent already found, or when a retry
+//     refills a closed-form component's free variables;
+//   - exact sets reused: an exact-tier component's set is deterministic,
+//     so a retry reuses its memoized set as the planned search reuses
+//     its exact entries; closed-form components are refilled and
+//     sampled ones re-sampled on every retry.
 
 // incrementalMemoCap bounds the per-session component memo. DFS
 // workloads pop and re-push the same branches, so eviction is FIFO over
@@ -112,7 +122,7 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 	if err != nil {
 		return nil, err
 	}
-	shards := qubo.Components(model)
+	shards, fps := qubo.Partition(model)
 	st.Shards = len(shards)
 	attempts, limit, _ := s.opts.searchLimits()
 	pl := plan{model: model, entries: make([]shardPlan, len(shards)), mergeOnly: true,
@@ -127,7 +137,7 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 	}
 	parent := is.parentFor(key, model.N())
 	acc := &firstVerified{c: c, res: Result{Vars: model.N(), Shards: len(shards)}}
-	step := func(attempt int) error { return is.sampleComponents(ctx, &pl, parent, attempt, st) }
+	step := func(attempt int) error { return is.sampleComponents(ctx, &pl, fps, parent, attempt, st) }
 	if err := s.search(ctx, c.Name(), &pl, step, acc, st); err != nil {
 		return nil, err
 	}
@@ -135,43 +145,54 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 	return finish(&acc.res, start, st), nil
 }
 
-// sampleComponents is the incremental sampling step. Memo hits are free
-// on the first attempt; misses — and every component on a retry, since a
-// retry means the memoized combination failed verification — are solved
-// fresh by solveComponent.
-func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, parent []qubo.Bit, attempt int, st *SolveStats) error {
+// sampleComponents is the incremental sampling step; fps[i] is entry
+// i's fingerprint. Memo hits are free on the first attempt. A retry
+// means the combination failed verification, so it re-solves every
+// component through solveComponent except the exact-tier ones, whose
+// memoized set is what enumeration would return again; misses are
+// always solved.
+func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, fps []qubo.Fingerprint, parent []qubo.Bit, attempt int, st *SolveStats) error {
 	for i := range pl.entries {
 		p := &pl.entries[i]
-		fp := qubo.FingerprintOf(p.shard.Model)
-		prev := is.lookup(fp)
-		if attempt == 0 && prev != nil && prev.set.Len() > 0 {
-			st.IncrementalHits++
-			p.set = prev.set
-			continue
+		prev := is.lookup(fps[i])
+		p.reused = false
+		if prev != nil && prev.set.Len() > 0 {
+			if attempt == 0 {
+				st.IncrementalHits++
+				p.set = prev.set
+				continue
+			}
+			if prev.compiled != nil && is.s.tierOf(prev.compiled) == tierExact {
+				p.tier, p.set, p.reused = tierExact, prev.set, true
+				continue
+			}
 		}
-		if err := is.solveComponent(ctx, p, fp, prev, parent, pl.model.N(), attempt, i, st); err != nil {
+		if err := is.solveComponent(ctx, p, fps[i], prev, parent, pl.model, attempt, i, st); err != nil {
 			return fmt.Errorf("component %d/%d: %w", i, len(pl.entries), err)
 		}
 	}
 	return nil
 }
 
-// solveComponent solves one touched component through the shared tier
+// solveComponent solves one component of model through the shared tier
 // switch and memoizes the result. prev, when non-nil, is the component's
 // previous memo entry; its presolve reduction and compiled model are
-// reused so a re-sample pays only for sampler reads. The entry's set
-// ends up holding component-local full-space assignments (already lifted
-// through the reduction).
-func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, fullN, attempt, ordinal int, st *SolveStats) error {
+// reused so a re-sample pays only for sampler reads, and the
+// component's model is built only when presolve or the closed-form
+// tier reads it. The entry's set ends up holding component-local
+// full-space assignments (already lifted through the reduction).
+func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, model *qubo.Model, attempt, ordinal int, st *SolveStats) error {
 	s := is.s
 	var red *qubo.Reduction
 	p.tier, p.seeds = tierClosedForm, nil
-	if p.shard.Model.NumQuadratic() > 0 {
+	if fp.Quad == 0 {
+		p.shard.Induce(model)
+	} else {
 		if prev != nil && prev.compiled != nil {
 			red, p.compiled = prev.red, prev.compiled
 			st.IncrementalPresolveReuses++
 		} else {
-			work, r := presolve(p.shard.Model, nil, st)
+			work, r := presolve(p.shard.Induce(model), nil, st)
 			red = r
 			phase := time.Now()
 			p.compiled = s.compileModel(work, st)
@@ -179,10 +200,10 @@ func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, 
 		}
 		p.tier = s.tierOf(p.compiled)
 		if p.tier != tierExact {
-			p.seeds, p.warm = is.componentSeeds(p.compiled, red, p.shard, parent, fullN, st)
+			p.seeds, p.warm = is.componentSeeds(p.compiled, red, p.shard, parent, model.N(), st)
 		}
 	}
-	if p.tier <= tierExact {
+	if attempt == 0 && p.tier <= tierExact {
 		st.ExactShards++
 	}
 	s.sampleEntry(ctx, p, attempt, ordinal)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qsmt/internal/anneal"
+	"qsmt/internal/obs"
 	"qsmt/internal/qubo"
 	"qsmt/internal/strtheory"
 )
@@ -244,5 +245,94 @@ func TestIncrementalPresolveRatioCoversEveryComponent(t *testing.T) {
 		if want := float64(st.PresolveEliminated) / float64(entered); st.PresolveRatio != want {
 			t.Errorf("%s: PresolveRatio = %g, want %d/%d = %g", c.Name(), st.PresolveRatio, st.PresolveEliminated, entered, want)
 		}
+	}
+}
+
+// exactProbe is unsatisfiable (position 0 cannot be both 'a' and 'b')
+// and partitions into exact-tier components, so every attempt fails
+// verification and a search runs its whole retry budget.
+func exactProbe() Constraint {
+	return And(Palindrome(4), CharAt('a', 0, 4), CharAt('b', 0, 4))
+}
+
+// An exact-tier component's set is deterministic, so an incremental
+// search enumerates it once: every later attempt hands back the memo's
+// set instead of enumerating again, and counts no reads for it.
+func TestIncrementalExactComponentEnumeratedOncePerSearch(t *testing.T) {
+	ctx := context.Background()
+	c := exactProbe()
+	model := mustModel(t, c)
+	shards, fps := qubo.Partition(model)
+	is := NewSolver(nil).NewIncrementalSession()
+	pl := plan{model: model, entries: make([]shardPlan, len(shards)), mergeOnly: true}
+	for i := range shards {
+		pl.entries[i].shard = &shards[i]
+	}
+	var st SolveStats
+	first := map[int]*anneal.SampleSet{}
+	exact := 0
+	for attempt := 0; attempt < 3; attempt++ {
+		if err := is.sampleComponents(ctx, &pl, fps, nil, attempt, &st); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pl.entries {
+			switch {
+			case attempt == 0:
+				first[i] = p.set // a memo hit within the solve is exact too
+			case p.tier != tierExact:
+			case p.set != first[i] || p.set != is.lookup(fps[i]).set || !p.reused:
+				t.Errorf("attempt %d re-enumerated exact component %d", attempt, i)
+			default:
+				exact++
+			}
+		}
+	}
+	if exact == 0 {
+		t.Fatal("no exact component in the probe; the test needs one")
+	}
+
+	// End to end: a fresh session's full search reads exactly what a
+	// one-attempt search reads.
+	var one, all SolveStats
+	if _, err := NewSolver(&Options{MaxAttempts: 1}).NewIncrementalSession().solve(ctx, "k", c, &one); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("one attempt: err = %v, want ErrNoModel", err)
+	}
+	s := NewSolver(nil)
+	if _, err := s.NewIncrementalSession().solve(ctx, "k", c, &all); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("err = %v, want ErrNoModel", err)
+	}
+	if all.Attempts != s.opts.MaxAttempts || all.Reads != one.Reads {
+		t.Errorf("attempts %d, reads %d; want %d attempts and the first attempt's %d reads",
+			all.Attempts, all.Reads, s.opts.MaxAttempts, one.Reads)
+	}
+}
+
+// ExactShards counts each shard at most once per solve, so it never
+// exceeds Shards — not on an incremental search that retries, nor on a
+// Solve or a SolveBatch.
+func TestExactShardsAtMostShards(t *testing.T) {
+	ctx := context.Background()
+	c := exactProbe()
+	var st SolveStats
+	if _, err := NewSolver(nil).NewIncrementalSession().solve(ctx, "k", c, &st); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("incremental: err = %v, want ErrNoModel", err)
+	}
+	if st.Attempts < 2 || st.ExactShards == 0 || st.ExactShards > st.Shards {
+		t.Errorf("incremental: %d attempts, ExactShards %d, Shards %d; want retries and 0 < ExactShards ≤ Shards",
+			st.Attempts, st.ExactShards, st.Shards)
+	}
+	st = SolveStats{}
+	if _, err := NewSolver(nil).solveContext(ctx, c, &st); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("Solve: err = %v, want ErrNoModel", err)
+	}
+	if st.ExactShards > st.Shards {
+		t.Errorf("Solve: ExactShards %d > Shards %d", st.ExactShards, st.Shards)
+	}
+	m := NewSolverMetrics(obs.NewRegistry())
+	if _, err := NewSolver(&Options{Metrics: m}).SolveBatch(ctx, []Constraint{c, Palindrome(4), And(Periodic(2, 6), Palindrome(6))}); err != nil {
+		t.Fatal(err)
+	}
+	if exact, shards := m.ExactShards.Value(), m.Shards.Value(); shards == 0 || exact > shards {
+		t.Errorf("SolveBatch: exact shards %g, shards %g; want ≤ shards > 0", exact, shards)
 	}
 }

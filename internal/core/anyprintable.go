@@ -29,7 +29,7 @@ func (c *AnyPrintable) BuildModel() (*qubo.Model, error) {
 	if c.N < 0 {
 		return nil, fmt.Errorf("core: %s: negative length", c.Name())
 	}
-	m := qubo.New(c.NumVars())
+	m := qubo.NewSized(c.NumVars(), c.N)
 	a := coeff(c.A)
 	for pos := 0; pos < c.N; pos++ {
 		addPrintableBias(m, pos, SoftFactor*a)

@@ -82,7 +82,7 @@ func (c *AvoidChars) BuildModel() (*qubo.Model, error) {
 	m := q.Model
 	// Soft printable bias on the primary positions only.
 	a := coeff(c.A)
-	bias := qubo.New(m.N())
+	bias := qubo.NewSized(m.N(), c.N)
 	for pos := 0; pos < c.N; pos++ {
 		addPrintableBias(bias, pos, SoftFactor*a)
 	}

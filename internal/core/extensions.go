@@ -323,7 +323,7 @@ func (c *Conjunction) BuildModel() (*qubo.Model, error) {
 		return nil, fmt.Errorf("core: %s: no members", c.Name())
 	}
 	n := c.Members[0].NumVars()
-	merged := qubo.New(n)
+	models := make([]*qubo.Model, len(c.Members))
 	for i, mem := range c.Members {
 		if mem.NumVars() != n {
 			return nil, fmt.Errorf("core: %s: member %d has %d variables, want %d",
@@ -336,15 +336,30 @@ func (c *Conjunction) BuildModel() (*qubo.Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: member %d (%s): %w", c.Name(), i, mem.Name(), err)
 		}
+		models[i] = m
+	}
+	return mergeAll(n, models), nil
+}
+
+// mergeAll sums models over n variables, in order, into one model
+// sized for all of their couplers.
+func mergeAll(n int, models []*qubo.Model) *qubo.Model {
+	couplers := 0
+	for _, m := range models {
+		couplers += m.NumQuadratic()
+	}
+	merged := qubo.NewSized(n, couplers)
+	for _, m := range models {
 		merged.Merge(m, 1)
 	}
-	return merged, nil
+	return merged
 }
 
 // StyleBias implements StyleBiased: the sum of the members' style
 // biases (members without one contribute nothing).
 func (c *Conjunction) StyleBias() (*qubo.Model, error) {
-	merged := qubo.New(c.NumVars())
+	n := c.NumVars()
+	var models []*qubo.Model
 	for i, mem := range c.Members {
 		sb, ok := mem.(StyleBiased)
 		if !ok {
@@ -354,12 +369,12 @@ func (c *Conjunction) StyleBias() (*qubo.Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: member %d (%s): %w", c.Name(), i, mem.Name(), err)
 		}
-		if m.N() != merged.N() {
-			return nil, fmt.Errorf("core: %s: member %d has %d variables, want %d", c.Name(), i, m.N(), merged.N())
+		if m.N() != n {
+			return nil, fmt.Errorf("core: %s: member %d has %d variables, want %d", c.Name(), i, m.N(), n)
 		}
-		merged.Merge(m, 1)
+		models = append(models, m)
 	}
-	return merged, nil
+	return mergeAll(n, models), nil
 }
 
 // Decode implements Constraint.

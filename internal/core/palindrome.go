@@ -43,7 +43,7 @@ func (c *Palindrome) BuildModel() (*qubo.Model, error) {
 	if c.N < 0 {
 		return nil, fmt.Errorf("core: %s: negative length", c.Name())
 	}
-	m := qubo.New(c.NumVars())
+	m := qubo.NewSized(c.NumVars(), c.N/2*ascii7.BitsPerChar+c.biasCouplers())
 	a := coeff(c.A)
 	for j := 0; j < c.N/2; j++ {
 		for b := 0; b < ascii7.BitsPerChar; b++ {
@@ -68,13 +68,22 @@ func (c *Palindrome) StyleBias() (*qubo.Model, error) {
 	if c.N < 0 {
 		return nil, fmt.Errorf("core: %s: negative length", c.Name())
 	}
-	m := qubo.New(c.NumVars())
+	m := qubo.NewSized(c.NumVars(), c.biasCouplers())
 	if c.Printable {
 		for j := 0; j < c.N; j++ {
 			addPrintableBias(m, j, SoftFactor*coeff(c.A))
 		}
 	}
 	return m, nil
+}
+
+// biasCouplers is the printable bias's coupler count: one per position
+// when Printable is set.
+func (c *Palindrome) biasCouplers() int {
+	if c.Printable {
+		return c.N
+	}
+	return 0
 }
 
 // Decode implements Constraint.

@@ -37,7 +37,8 @@ func (c *Periodic) BuildModel() (*qubo.Model, error) {
 	if c.Period <= 0 {
 		return nil, fmt.Errorf("core: %s: period must be positive", c.Name())
 	}
-	m := qubo.New(c.NumVars())
+	// One coupler per tied bit pair plus one per position's bias.
+	m := qubo.NewSized(c.NumVars(), max(c.N-c.Period, 0)*ascii7.BitsPerChar+c.N)
 	a := coeff(c.A)
 	for j := 0; j+c.Period < c.N; j++ {
 		for b := 0; b < ascii7.BitsPerChar; b++ {

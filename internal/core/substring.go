@@ -35,12 +35,12 @@ func (c *SubstringMatch) BuildModel() (*qubo.Model, error) {
 		return nil, fmt.Errorf("%w: %s: substring %q longer than target length %d",
 			ErrUnsatisfiable, c.Name(), c.Sub, c.Length)
 	}
-	m := qubo.New(c.NumVars())
 	a := coeff(c.A)
 	if len(c.Sub) == 0 {
 		// SMT-LIB: every string contains "" — any Length-character string
 		// satisfies the constraint, so the encoding degenerates to the
 		// soft printable bias (the same landscape AnyPrintable uses).
+		m := qubo.NewSized(c.NumVars(), c.Length)
 		for pos := 0; pos < c.Length; pos++ {
 			addPrintableBias(m, pos, SoftFactor*a)
 		}
@@ -48,6 +48,7 @@ func (c *SubstringMatch) BuildModel() (*qubo.Model, error) {
 	}
 	// Encode the substring at every feasible window; SetLinear gives the
 	// paper's "overwrite previous entries" semantics.
+	m := qubo.New(c.NumVars())
 	for start := 0; start+len(c.Sub) <= c.Length; start++ {
 		for k := 0; k < len(c.Sub); k++ {
 			setCharTarget(m, start+k, c.Sub[k], a)
@@ -121,7 +122,7 @@ func (c *IndexOf) BuildModel() (*qubo.Model, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	m := qubo.New(c.NumVars())
+	m := qubo.NewSized(c.NumVars(), c.freePositions())
 	a := coeff(c.A)
 	for pos := 0; pos < c.Length; pos++ {
 		if c.pinned(pos) {
@@ -152,13 +153,17 @@ func (c *IndexOf) validate() error {
 // pinned reports whether pos lies in the pinned window.
 func (c *IndexOf) pinned(pos int) bool { return pos >= c.Index && pos < c.Index+len(c.Sub) }
 
+// freePositions counts the positions outside the pinned window, each
+// of which carries the printable bias and its one coupler.
+func (c *IndexOf) freePositions() int { return c.Length - len(c.Sub) }
+
 // StyleBias implements StyleBiased: the filler positions' printable
 // bias.
 func (c *IndexOf) StyleBias() (*qubo.Model, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	m := qubo.New(c.NumVars())
+	m := qubo.NewSized(c.NumVars(), c.freePositions())
 	for pos := 0; pos < c.Length; pos++ {
 		if !c.pinned(pos) {
 			addPrintableBias(m, pos, SoftFactor*coeff(c.A))

@@ -2,7 +2,6 @@ package qubo
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -34,18 +33,41 @@ const (
 	fnvPrime   = 0x100000001b3
 )
 
-// fnvPair feeds one 64-bit word into both hash streams.
-type fnvPair struct{ h1, h2 uint64 }
+// newFingerprint starts the fingerprint of a model over n variables:
+// both hash streams at their offset bases, fed the variable count and
+// the offset.
+func newFingerprint(n int, offset float64) Fingerprint {
+	f := Fingerprint{N: n, H1: fnvOffset, H2: fnvOffset2}
+	f.word(uint64(n))
+	f.word(math.Float64bits(offset))
+	return f
+}
 
-func newFnvPair() fnvPair { return fnvPair{fnvOffset, fnvOffset2} }
-
-func (f *fnvPair) word(w uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], w)
-	for _, c := range b {
-		f.h1 = (f.h1 ^ uint64(c)) * fnvPrime
-		f.h2 = (f.h2 ^ uint64(c)) * fnvPrime
+// word feeds w's eight bytes, least significant first, into both hash
+// streams.
+func (f *Fingerprint) word(w uint64) {
+	h1, h2 := f.H1, f.H2
+	for shift := 0; shift < 64; shift += 8 {
+		c := w >> shift & 0xff
+		h1 = (h1 ^ c) * fnvPrime
+		h2 = (h2 ^ c) * fnvPrime
 	}
+	f.H1, f.H2 = h1, h2
+}
+
+// linear feeds one nonzero diagonal entry Q_ii = v.
+func (f *Fingerprint) linear(i int, v float64) {
+	f.Linear++
+	f.word(uint64(i))
+	f.word(math.Float64bits(v))
+}
+
+// coupler feeds one nonzero coupler Q_ij = v (i < j). Couplers must be
+// fed in row-major order.
+func (f *Fingerprint) coupler(i, j int, v float64) {
+	f.Quad++
+	f.word(uint64(i)<<32 | uint64(uint32(j)))
+	f.word(math.Float64bits(v))
 }
 
 // String renders the fingerprint in its wire form,
@@ -90,22 +112,15 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 
 // FingerprintOf computes the canonical fingerprint of m.
 func FingerprintOf(m *Model) Fingerprint {
-	fp := Fingerprint{N: m.n, Quad: len(m.quad)}
-	h := newFnvPair()
-	h.word(uint64(m.n))
-	h.word(math.Float64bits(m.offset))
+	fp := newFingerprint(m.n, m.offset)
 	for i, v := range m.diag {
 		if v != 0 {
-			fp.Linear++
-			h.word(uint64(i))
-			h.word(math.Float64bits(v))
+			fp.linear(i, v)
 		}
 	}
 	for _, t := range m.Terms() { // sorted row-major: canonical order
-		h.word(uint64(t.I)<<32 | uint64(uint32(t.J)))
-		h.word(math.Float64bits(t.W))
+		fp.coupler(t.I, t.J, t.W)
 	}
-	fp.H1, fp.H2 = h.h1, h.h2
 	return fp
 }
 

@@ -503,7 +503,7 @@ func (p *presolver) finish(m *Model) *Reduction {
 	for _, g := range vars {
 		couplers += len(p.adj[g])
 	}
-	red := newModel(len(vars), couplers/2)
+	red := NewSized(len(vars), couplers/2)
 	red.AddOffset(p.offset)
 	for k, g := range vars {
 		if p.h[g] != 0 {

@@ -12,9 +12,10 @@
 package qubo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Bit is a binary variable value, 0 or 1.
@@ -35,11 +36,14 @@ type Model struct {
 
 // New returns an empty QUBO model over n binary variables.
 func New(n int) *Model {
-	return newModel(n, 0)
+	return NewSized(n, 0)
 }
 
-// newModel is New with the coupler map sized for couplers entries.
-func newModel(n, couplers int) *Model {
+// NewSized is New with the coupler storage sized for couplers entries.
+// The size is a hint: a model built by an encoder that knows its
+// coupler count up front skips the storage's incremental growth, and
+// the model may still take more couplers than the hint.
+func NewSized(n, couplers int) *Model {
 	if n < 0 {
 		panic(fmt.Sprintf("qubo: negative variable count %d", n))
 	}
@@ -229,11 +233,11 @@ func (m *Model) Terms() []QuadTerm {
 	for k, v := range m.quad {
 		out = append(out, QuadTerm{I: k.I, J: k.J, W: v})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
+	slices.SortFunc(out, func(a, b QuadTerm) int {
+		if a.I != b.I {
+			return cmp.Compare(a.I, b.I)
 		}
-		return out[a].J < out[b].J
+		return cmp.Compare(a.J, b.J)
 	})
 	return out
 }

@@ -67,7 +67,9 @@ type SolveStats struct {
 	Shards int
 	// ExactShards counts shards solved without the configured sampler:
 	// closed-form (coupler-free) shards plus exhaustively enumerated
-	// small shards.
+	// small shards, each at most once per solve, so it never exceeds
+	// Shards. An incremental solve counts the components its first
+	// attempt solved; memo hits do not count, and neither do retries.
 	ExactShards int
 	// ShardFallback reports that the model was planned by components
 	// but did not decompose: the plan had one shard (a connected model)

@@ -47,11 +47,11 @@ const (
 type shardPlan struct {
 	shard    *qubo.Shard    // nil for the whole-model entry
 	compiled *qubo.Compiled // nil for closed-form entries
-	tier     tier
 	// seeds are the initial states of a sampled entry: the solver's
 	// warm-start seeds (warm), or the sampler's own states mapped into
 	// the entry's space (see entryStates).
 	seeds [][]qubo.Bit
+	tier  tier
 	warm  bool
 	// reused marks an exact entry's set kept from an earlier attempt of
 	// the search: no enumeration ran, so its reads are not counted again.
@@ -193,8 +193,8 @@ func (st *SolveStats) observeEntry(p *shardPlan) {
 // exact entries and the first sampled one run inline, further sampled
 // entries concurrently, one goroutine each. An exact entry's set is
 // deterministic, so it is enumerated on the first attempt only and
-// reused on every later one (the incremental step, which hands
-// sampleEntry memoized sets of its own, does not come through here).
+// reused on every later one (the incremental step, which does not come
+// through here, reuses its exact components' memoized sets alike).
 // Every sampling call acquires a batch-gate slot of its own (when one
 // is installed), so the fan-out of many batched constraints still
 // respects the global worker bound. The returned error names the
