@@ -51,7 +51,8 @@ perfbenchcheck:
 ## fuzz: a fixed short smoke of the native Go fuzz targets for the
 ## SMT-LIB front end (lexer/parser and the interpreter's check-sat path),
 ## the remote surface (Retry-After hints, SampleRequest decode and
-## validation, the PUT /v1/cache model upload) and the exact enumerator
+## validation, the PUT /v1/cache model upload, the client's handling of
+## an arbitrary service reply) and the exact enumerator
 ## (differential against a per-state brute force) and the component
 ## partition (Partition against Components and FingerprintOf), so
 ## malformed input that panics the CLI or the daemon, or a model the
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseRetryAfter -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzSampleRequest -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzCachePut -fuzztime 5s ./internal/remote
+	$(GO) test -run '^$$' -fuzz FuzzClientReply -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzExactSolver -fuzztime 5s ./internal/anneal
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 5s ./internal/qubo
 

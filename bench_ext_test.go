@@ -177,33 +177,6 @@ func BenchmarkSubstrate_QuadratizeAvoidChars(b *testing.B) {
 	}
 }
 
-// ---- reverse annealing refinement ----
-
-func BenchmarkReverseAnnealing_Refine(b *testing.B) {
-	c := Equality("refine")
-	m, err := c.BuildModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled := m.Compile()
-	// Near-miss start: ground state with one bit flipped.
-	initial := make([]byte, compiled.N)
-	for i := 0; i < compiled.N; i++ {
-		if compiled.Linear[i] < 0 {
-			initial[i] = 1
-		}
-	}
-	initial[5] ^= 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ra := &anneal.ReverseAnnealer{Initial: initial, Reads: 16, Sweeps: 300, Seed: int64(i + 1)}
-		if _, err := ra.Sample(compiled); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkConstraint_Periodic(b *testing.B) {
 	s := benchSolver(12)
 	c := Periodic(3, 9)

@@ -146,20 +146,27 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 }
 
 // sampleComponents is the incremental sampling step; fps[i] is entry
-// i's fingerprint. Memo hits are free on the first attempt. A retry
-// means the combination failed verification, so it re-solves every
-// component through solveComponent except the exact-tier ones, whose
-// memoized set is what enumeration would return again; misses are
-// always solved.
+// i's fingerprint. It reads the memo in one locked pass, and a
+// component that repeats one this attempt already solved is served
+// from it, so each fingerprint is solved at most once per attempt.
+// Memo hits are free on the first attempt: no sampler runs, so their
+// reads are not counted (reused). A retry means the combination failed
+// verification, so it re-solves every component through solveComponent
+// except the exact-tier ones, whose memoized set is what enumeration
+// would return again; misses are always solved.
 func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, fps []qubo.Fingerprint, parent []qubo.Bit, attempt int, st *SolveStats) error {
+	var buf [32]*componentEntry
+	prevs := is.lookup(fps, buf[:0])
 	for i := range pl.entries {
 		p := &pl.entries[i]
-		prev := is.lookup(fps[i])
-		p.reused = false
+		prev := prevs[i]
+		if prev == nil {
+			prev = solvedEarlier(fps, prevs, i)
+		}
 		if prev != nil && prev.set.Len() > 0 {
 			if attempt == 0 {
 				st.IncrementalHits++
-				p.set = prev.set
+				p.set, p.reused = prev.set, true
 				continue
 			}
 			if prev.compiled != nil && is.s.tierOf(prev.compiled) == tierExact {
@@ -167,8 +174,22 @@ func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, fp
 				continue
 			}
 		}
-		if err := is.solveComponent(ctx, p, fps[i], prev, parent, pl.model, attempt, i, st); err != nil {
+		p.reused = false
+		e, err := is.solveComponent(ctx, p, fps[i], prev, parent, pl.model, attempt, i, st)
+		if err != nil {
 			return fmt.Errorf("component %d/%d: %w", i, len(pl.entries), err)
+		}
+		prevs[i] = e
+	}
+	return nil
+}
+
+// solvedEarlier returns the entry of the first component before i with
+// fingerprint fps[i], or nil when there is none.
+func solvedEarlier(fps []qubo.Fingerprint, prevs []*componentEntry, i int) *componentEntry {
+	for j := range i {
+		if fps[j] == fps[i] {
+			return prevs[j]
 		}
 	}
 	return nil
@@ -180,8 +201,9 @@ func (is *IncrementalSession) sampleComponents(ctx context.Context, pl *plan, fp
 // reused so a re-sample pays only for sampler reads, and the
 // component's model is built only when presolve or the closed-form
 // tier reads it. The entry's set ends up holding component-local
-// full-space assignments (already lifted through the reduction).
-func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, model *qubo.Model, attempt, ordinal int, st *SolveStats) error {
+// full-space assignments (already lifted through the reduction); the
+// memoized entry is returned.
+func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, model *qubo.Model, attempt, ordinal int, st *SolveStats) (*componentEntry, error) {
 	s := is.s
 	var red *qubo.Reduction
 	p.tier, p.seeds = tierClosedForm, nil
@@ -208,7 +230,7 @@ func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, 
 	}
 	s.sampleEntry(ctx, p, attempt, ordinal)
 	if p.err != nil {
-		return p.err
+		return nil, p.err
 	}
 	st.observeEntry(p)
 
@@ -224,8 +246,9 @@ func (is *IncrementalSession) solveComponent(ctx context.Context, p *shardPlan, 
 		}
 		p.set = &anneal.SampleSet{Samples: lifted}
 	}
-	is.store(fp, &componentEntry{red: red, compiled: p.compiled, set: p.set})
-	return nil
+	e := &componentEntry{red: red, compiled: p.compiled, set: p.set}
+	is.store(fp, e)
+	return e, nil
 }
 
 // componentSeeds assembles the initial states of a sampled component
@@ -247,11 +270,15 @@ func (is *IncrementalSession) componentSeeds(compiled *qubo.Compiled, red *qubo.
 	return seeds, warm
 }
 
-// lookup returns the memo entry for fp, or nil.
-func (is *IncrementalSession) lookup(fp qubo.Fingerprint) *componentEntry {
+// lookup appends the memo entry of every fingerprint in fps to dst
+// (nil for a miss) under one lock, and returns the extended slice.
+func (is *IncrementalSession) lookup(fps []qubo.Fingerprint, dst []*componentEntry) []*componentEntry {
 	is.mu.Lock()
 	defer is.mu.Unlock()
-	return is.memo[fp]
+	for _, fp := range fps {
+		dst = append(dst, is.memo[fp])
+	}
+	return dst
 }
 
 // store memoizes a component entry, evicting the oldest first-inserted

@@ -280,7 +280,7 @@ func TestIncrementalExactComponentEnumeratedOncePerSearch(t *testing.T) {
 			case attempt == 0:
 				first[i] = p.set // a memo hit within the solve is exact too
 			case p.tier != tierExact:
-			case p.set != first[i] || p.set != is.lookup(fps[i]).set || !p.reused:
+			case p.set != first[i] || p.set != is.memo[fps[i]].set || !p.reused:
 				t.Errorf("attempt %d re-enumerated exact component %d", attempt, i)
 			default:
 				exact++
@@ -334,5 +334,39 @@ func TestExactShardsAtMostShards(t *testing.T) {
 	}
 	if exact, shards := m.ExactShards.Value(), m.Shards.Value(); shards == 0 || exact > shards {
 		t.Errorf("SolveBatch: exact shards %g, shards %g; want ≤ shards > 0", exact, shards)
+	}
+}
+
+// A memo hit runs no sampler, so it counts no reads: a repeated solve
+// answered wholly from the memo reports Reads 0. A fingerprint is
+// solved at most once per query: every component that repeats an
+// earlier one of the same cold query is a hit.
+func TestIncrementalMemoHitsCountNoReads(t *testing.T) {
+	ctx := context.Background()
+	for i, c := range []Constraint{
+		And(Palindrome(4), CharAt('a', 0, 4)),
+		And(PrefixOf("ab", 5), Palindrome(5)),
+	} {
+		_, fps := qubo.Partition(mustModel(t, c))
+		distinct := map[qubo.Fingerprint]bool{}
+		for _, fp := range fps {
+			distinct[fp] = true
+		}
+		is := NewSolver(nil).NewIncrementalSession()
+		var cold, warm SolveStats
+		if _, err := is.solve(ctx, "k", c, &cold); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if cold.Attempts != 1 || cold.IncrementalHits != cold.Shards-len(distinct) {
+			t.Errorf("case %d cold: %d attempts, %d hits over %d shards; want 1 attempt and %d hits",
+				i, cold.Attempts, cold.IncrementalHits, cold.Shards, cold.Shards-len(distinct))
+		}
+		if _, err := is.solve(ctx, "k", c, &warm); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if warm.IncrementalHits != warm.Shards || warm.Reads != 0 {
+			t.Errorf("case %d warm: %d hits over %d shards, %d reads; want every shard a hit and 0 reads",
+				i, warm.IncrementalHits, warm.Shards, warm.Reads)
+		}
 	}
 }

@@ -22,7 +22,6 @@ func TestSampleContextCancelled(t *testing.T) {
 		&GreedySampler{Reads: 4},
 		&RandomSampler{Reads: 4},
 		&TabuSampler{Reads: 2},
-		&ReverseAnnealer{Initial: make([]Bit, 12), Reads: 2},
 		&NoisySampler{Base: &RandomSampler{Reads: 4}, FlipProb: 0.1},
 	}
 	for _, s := range samplers {
@@ -95,7 +94,6 @@ func TestSampleEnergiesMatchRecomputation(t *testing.T) {
 		"tempering": &ParallelTempering{Reads: 4, Sweeps: 500},
 		"greedy":    &GreedySampler{Reads: 16},
 		"tabu":      &TabuSampler{Reads: 4},
-		"reverse":   &ReverseAnnealer{Initial: make([]Bit, 20), Reads: 4, Sweeps: 500},
 	}
 	for name, s := range samplers {
 		ss, err := s.Sample(c)

@@ -196,22 +196,6 @@ func TestCollectorWiredThroughSamplers(t *testing.T) {
 		}
 	})
 
-	t.Run("reverse", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		col := obs.NewCollector(reg)
-		initial := make([]Bit, c.N)
-		ra := &ReverseAnnealer{Initial: initial, Reads: 3, Sweeps: 40, Seed: 1, Collector: col}
-		if _, err := ra.Sample(c); err != nil {
-			t.Fatal(err)
-		}
-		if got := col.Reads.Value(); got != 3 {
-			t.Errorf("reads = %g, want 3", got)
-		}
-		if got := col.Sweeps.Value(); got != 3*40 {
-			t.Errorf("sweeps = %g, want %d", got, 3*40)
-		}
-	})
-
 	t.Run("greedy", func(t *testing.T) {
 		reg := obs.NewRegistry()
 		col := obs.NewCollector(reg)

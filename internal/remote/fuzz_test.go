@@ -1,7 +1,11 @@
 package remote
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -104,6 +108,73 @@ func FuzzCachePut(f *testing.F) {
 		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, path, nil))
 		if get.Code != http.StatusOK || get.Body.String() != body {
 			t.Fatalf("PUT %q = 201, but GET = %d %q, want 200 with the body", claimed, get.Code, get.Body.String())
+		}
+	})
+}
+
+// replyTransport answers every request with one canned reply, so a fuzz
+// target drives the client's exchange without a listener.
+type replyTransport struct {
+	code   int
+	header http.Header
+	body   []byte
+}
+
+func (rt *replyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: rt.code,
+		Header:     rt.header,
+		Body:       io.NopCloser(bytes.NewReader(rt.body)),
+		Request:    req,
+	}, nil
+}
+
+// FuzzClientReply sends an arbitrary status, Retry-After and
+// Retry-After-Ms headers and body through the client's one exchange
+// (Client.do): it never panics, a reply past the response cap is
+// ErrResponseTooLarge, and any other non-2xx reply is a *StatusError
+// with the reply's code and parseRetryAfter's hint.
+func FuzzClientReply(f *testing.F) {
+	f.Add(200, "", "", []byte(`{"status":"ok","sampler":"sa"}`))
+	f.Add(429, "1", "250", []byte(`{"error":"saturated"}`))
+	f.Add(503, "Wed, 21 Oct 2015 07:28:00 GMT", "", []byte(`not json`))
+	f.Add(412, "", "-3", []byte(`{"error":"model not cached"}`))
+	f.Add(204, "", "", []byte{})
+	f.Add(500, "99999999999999999999", "x", bytes.Repeat([]byte("z"), 100))
+	const limit = 64
+	f.Fuzz(func(t *testing.T, code int, retryAfter, retryAfterMs string, body []byte) {
+		if code < 100 || code > 999 {
+			return // not an HTTP status line a transport can deliver
+		}
+		header := http.Header{}
+		header.Set("Retry-After", retryAfter)
+		header.Set("Retry-After-Ms", retryAfterMs)
+		rt := &replyTransport{code: code, header: header, body: body}
+		c := &Client{BaseURL: "http://service.invalid", HTTPClient: &http.Client{Transport: rt}, MaxResponseBytes: limit}
+		// A date hint counts down between calls: bracket the client's.
+		latest := parseRetryAfter(header)
+		var hr HealthResponse
+		err := c.do(context.Background(), http.MethodGet, "/v1/health", "", nil, &hr)
+		earliest := parseRetryAfter(header)
+		if len(body) > limit {
+			if !errors.Is(err, ErrResponseTooLarge) {
+				t.Fatalf("%d-byte reply: err = %v, want ErrResponseTooLarge", len(body), err)
+			}
+			return
+		}
+		if code >= 200 && code <= 299 {
+			var se *StatusError
+			if errors.As(err, &se) {
+				t.Fatalf("%d reply: err = %v, want no *StatusError", code, err)
+			}
+			return
+		}
+		var se *StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("%d reply: err = %v, want *StatusError", code, err)
+		}
+		if se.Code != code || se.RetryAfter > latest || se.RetryAfter < earliest {
+			t.Fatalf("%d reply: %+v, want code %d and hint in [%v, %v]", code, se, code, earliest, latest)
 		}
 	})
 }

@@ -4,26 +4,26 @@ package remote
 // drop-in sibling of SampleContext that rides the submit/poll protocol
 // instead of one long POST, and the lower-level SubmitJob/JobStatus/
 // WaitJob/CancelJob verbs compose for callers that manage many jobs at
-// once (the loadgen harness).
+// once (the loadgen harness). Every verb is one call of the client's
+// exchange (Client.do), and SampleJob retries a shed submission through
+// the same retry loop as the sync path (Client.retry).
 //
 // Submission is content-addressed when the server cooperates: the
 // client first submits by model fingerprint alone; a 412 reply means
 // the service has not seen the model, so the client uploads it to
 // /v1/cache/{fp} once and resubmits. Every later job over the same
 // model — from this client or any other sharing the service — travels
-// as a ~100-byte request instead of re-shipping the QUBO text.
+// as a ~100-byte request, and the client renders the QUBO text only for
+// the upload or for an inline submission to a service without a model
+// cache.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"qsmt/internal/anneal"
@@ -34,115 +34,51 @@ import (
 // result to claim.
 var ErrJobCanceled = errors.New("remote: job canceled")
 
-// doJSON performs one request and decodes a JSON reply into out (when
-// non-nil). Non-2xx replies come back as *StatusError with any
-// Retry-After hint attached.
-func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method,
-		strings.TrimRight(c.BaseURL, "/")+path, rd)
-	if err != nil {
-		return fmt.Errorf("remote: building request: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.ClientID != "" {
-		req.Header.Set("X-Client-ID", c.ClientID)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("remote: %s %s: %w", method, path, err)
-	}
-	defer resp.Body.Close()
-	limit := c.maxResponseBytes()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return fmt.Errorf("remote: reading response: %w", err)
-	}
-	if int64(len(raw)) > limit {
-		return fmt.Errorf("%w (%d bytes)", ErrResponseTooLarge, limit)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Code: resp.StatusCode}
-		var er errorResponse
-		if json.Unmarshal(raw, &er) == nil {
-			se.Message = er.Error
-		}
-		se.RetryAfter = parseRetryAfter(resp.Header)
-		return se
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("remote: malformed response: %w", err)
-	}
-	return nil
-}
+// abandonTimeout bounds the best-effort cancel SampleJob sends for a
+// job whose wait ended without a result.
+const abandonTimeout = 500 * time.Millisecond
 
 // UploadModel stores the model in the service's content-addressed cache
 // and returns its fingerprint, after which jobs over this model can be
 // submitted by fingerprint alone.
 func (c *Client) UploadModel(ctx context.Context, compiled *qubo.Compiled) (string, error) {
-	if compiled == nil {
-		return "", errors.New("remote: nil model")
+	if err := c.ready(compiled); err != nil {
+		return "", err
 	}
 	model := modelFromCompiled(compiled)
 	fp := qubo.FingerprintOf(model).String()
-	var text bytes.Buffer
-	if _, err := model.WriteTo(&text); err != nil {
-		return "", fmt.Errorf("remote: serializing QUBO: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/cache/"+fp, bytes.NewReader(text.Bytes()))
+	text, err := wireText(model)
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set("Content-Type", "text/plain; charset=utf-8")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("remote: uploading model: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Code: resp.StatusCode}
-		var er errorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&er) == nil {
-			se.Message = er.Error
-		}
-		return "", se
-	}
-	return fp, nil
+	return fp, c.upload(ctx, fp, text)
+}
+
+// upload PUTs a model's wire text to the cache under its fingerprint.
+func (c *Client) upload(ctx context.Context, fp, text string) error {
+	return c.do(ctx, http.MethodPut, "/v1/cache/"+fp, "text/plain; charset=utf-8", []byte(text), nil)
 }
 
 // SubmitJob submits one async job and returns its ID. The model is sent
 // content-addressed when possible: fingerprint-only first, uploading
 // the model and retrying on a 412 miss, and falling back to an inline
-// submission against services without a model cache.
+// submission against services without a model cache. The wire model is
+// built once per submission, and its text is rendered only when a
+// fingerprint-only submission was refused.
 func (c *Client) SubmitJob(ctx context.Context, compiled *qubo.Compiled, job Job, prio Priority) (string, error) {
-	if compiled == nil {
-		return "", errors.New("remote: nil model")
-	}
-	if c.BaseURL == "" {
-		return "", errors.New("remote: client has no BaseURL")
-	}
-	req, err := c.sampleRequest(compiled, job)
-	if err != nil {
+	if err := c.ready(compiled); err != nil {
 		return "", err
 	}
-	fingerprint := qubo.FingerprintOf(modelFromCompiled(compiled)).String()
-
-	submit := func(r SampleRequest) (string, error) {
-		body, err := json.Marshal(JobSubmitRequest{SampleRequest: r, Priority: prio.String()})
+	model := modelFromCompiled(compiled)
+	req := c.request(job)
+	req.Fingerprint = qubo.FingerprintOf(model).String()
+	submit := func() (string, error) {
+		body, err := json.Marshal(JobSubmitRequest{SampleRequest: req, Priority: prio.String()})
 		if err != nil {
 			return "", err
 		}
 		var st JobStatusResponse
-		if err := c.doJSON(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
+		if err := c.do(ctx, http.MethodPost, "/v1/jobs", "application/json", body, &st); err != nil {
 			return "", err
 		}
 		if st.ID == "" {
@@ -151,28 +87,34 @@ func (c *Client) SubmitJob(ctx context.Context, compiled *qubo.Compiled, job Job
 		return st.ID, nil
 	}
 
-	// Content-addressed attempt: fingerprint only, no model text.
-	light := req
-	light.QUBO, light.Fingerprint = "", fingerprint
-	id, err := submit(light)
-	if err == nil {
-		return id, nil
+	id, err := submit()
+	if !refusedFingerprint(err) {
+		return id, err
+	}
+	text, terr := wireText(model)
+	if terr != nil {
+		return "", terr
 	}
 	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusPreconditionFailed {
+	if errors.As(err, &se) && se.Code == http.StatusPreconditionFailed && c.upload(ctx, req.Fingerprint, text) == nil {
 		// Cache miss: upload once, retry by fingerprint.
-		if _, upErr := c.UploadModel(ctx, compiled); upErr == nil {
-			if id, err = submit(light); err == nil {
-				return id, nil
-			}
+		if id, err = submit(); !refusedFingerprint(err) {
+			return id, err
 		}
 	}
-	if errors.As(err, &se) && (se.Code == http.StatusPreconditionFailed ||
-		se.Code == http.StatusNotFound || se.Code == http.StatusBadRequest) {
-		// The service has no CAS (or rejects fingerprints): ship inline.
-		return submit(req)
-	}
-	return "", err
+	// The service has no CAS (or rejects fingerprints): ship inline.
+	req.QUBO, req.Fingerprint = text, ""
+	return submit()
+}
+
+// refusedFingerprint reports whether err is a service's refusal of a
+// fingerprint-only submission: 412 (model not cached, or no cache
+// configured), or 404/400 from a service that does not take
+// fingerprints.
+func refusedFingerprint(err error) bool {
+	var se *StatusError
+	return errors.As(err, &se) && (se.Code == http.StatusPreconditionFailed ||
+		se.Code == http.StatusNotFound || se.Code == http.StatusBadRequest)
 }
 
 // JobStatus fetches a job snapshot. A positive wait long-polls: the
@@ -183,7 +125,7 @@ func (c *Client) JobStatus(ctx context.Context, id string, wait time.Duration) (
 		path += "?wait=" + wait.String()
 	}
 	var st JobStatusResponse
-	if err := c.doJSON(ctx, http.MethodGet, path, nil, &st); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, "", nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -192,7 +134,7 @@ func (c *Client) JobStatus(ctx context.Context, id string, wait time.Duration) (
 // CancelJob cancels a queued or running job. Canceling an already
 // settled job reports a 409 *StatusError.
 func (c *Client) CancelJob(ctx context.Context, id string) error {
-	return c.doJSON(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil)
+	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, "", nil, nil)
 }
 
 // WaitJob long-polls until the job settles (done, failed or canceled)
@@ -217,54 +159,26 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatusResponse, er
 // claim, decode. Submissions shed by admission control (429) are
 // retried with the client's backoff policy, honoring the service's
 // Retry-After hint; like the sync path, the whole call is bounded by
-// ctx. Satisfies the same contract as SampleJobContext, so a solver can
+// ctx. A job whose wait ends without a result (ctx expired, the
+// service unreachable) is canceled on a short detached context, so the
+// service stops sampling it and holds no result nobody will claim.
+// Satisfies the same contract as SampleJobContext, so a solver can
 // point at either path.
 func (c *Client) SampleJob(ctx context.Context, compiled *qubo.Compiled, job Job, prio Priority) (*anneal.SampleSet, error) {
-	maxRetries := c.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	} else if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	maxBackoff := c.RetryMaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = DefaultRetryMaxBackoff
-	}
 	var id string
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		var err error
+	if err := c.retry(ctx, func() (err error) {
 		id, err = c.SubmitJob(ctx, compiled, job, prio)
-		if err == nil {
-			break
-		}
-		lastErr = err
-		if attempt >= maxRetries || !transientErr(err) || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		c.retries.Add(1)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > 0 {
-			// The service told us when the queue should have drained;
-			// its estimate beats blind exponential backoff in both
-			// directions — a 250ms hint resubmits long before the first
-			// backoff step would, and a 30s hint stops us burning
-			// attempts into a queue that cannot have drained yet.
-			if err := sleepFor(ctx, se.RetryAfter); err != nil {
-				return nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
-			}
-			continue
-		}
-		if err := sleepBackoff(ctx, backoff, maxBackoff, attempt); err != nil {
-			return nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
-		}
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	st, err := c.WaitJob(ctx, id)
 	if err != nil {
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abandonTimeout)
+		// Best effort: the job may have settled meanwhile (409) or the
+		// service be gone, and the wait's error is what the caller needs.
+		_ = c.CancelJob(cctx, id)
+		cancel()
 		return nil, err
 	}
 	switch st.State {

@@ -515,3 +515,59 @@ func TestJobQueueDrainOnShutdown(t *testing.T) {
 		t.Fatalf("submit after close = %v, want 503", err)
 	}
 }
+
+// TestSampleJobCancelsAbandonedJob: a SampleJob whose context ends while
+// it waits must cancel its job, or the service keeps sampling for
+// nobody and holds the result until its TTL.
+func TestSampleJobCancelsAbandonedJob(t *testing.T) {
+	gate := newGateSampler()
+	srv := &Server{
+		NewSampler: func(SampleRequest) interface {
+			Sample(*qubo.Compiled) (*anneal.SampleSet, error)
+		} {
+			return gate
+		},
+		Jobs:       NewJobQueue(8, time.Minute),
+		JobWorkers: 1,
+	}
+	var mu sync.Mutex
+	var polled string // the job ID the client long-polls
+	handler := srv.Handler()
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && r.Method == http.MethodGet {
+			mu.Lock()
+			polled = id
+			mu.Unlock()
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	jobsCtx, stopJobs := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeJobs(jobsCtx)
+	}()
+	defer func() {
+		hts.Close()
+		stopJobs()
+		<-done
+	}()
+	defer close(gate.release)
+
+	c := &Client{BaseURL: hts.URL, ClientID: "abandon"}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := c.SampleJob(ctx, twoVarModel(), Job{}, PriorityInteractive); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SampleJob = %v, want the context's deadline", err)
+	}
+	mu.Lock()
+	id := polled
+	mu.Unlock()
+	st, ok := srv.Jobs.Get(id)
+	if !ok || st.State != JobCanceled {
+		t.Fatalf("abandoned job %q = %+v (found %v), want canceled", id, st, ok)
+	}
+	if qs := srv.Jobs.Stats(); qs.Running != 0 {
+		t.Fatalf("queue after abandon = %+v, want nothing running", qs)
+	}
+}

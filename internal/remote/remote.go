@@ -540,59 +540,40 @@ func (c *Client) SampleContext(ctx context.Context, compiled *qubo.Compiled) (*a
 // with differing parameters (a proxy forwarding request knobs, a solver
 // re-seeding retries).
 func (c *Client) SampleJobContext(ctx context.Context, compiled *qubo.Compiled, job Job) (*anneal.SampleSet, error) {
-	if compiled == nil {
-		return nil, errors.New("remote: nil model")
+	if err := c.ready(compiled); err != nil {
+		return nil, err
 	}
-	if c.BaseURL == "" {
-		return nil, errors.New("remote: client has no BaseURL")
+	req := c.request(job)
+	var err error
+	if req.QUBO, err = wireText(modelFromCompiled(compiled)); err != nil {
+		return nil, err
 	}
-	reqBody, err := c.encodeRequest(compiled, job)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	maxRetries := c.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	} else if maxRetries < 0 {
-		maxRetries = 0
+	var sr SampleResponse
+	if err := c.retry(ctx, func() error {
+		return c.do(ctx, http.MethodPost, "/v1/sample", "application/json", body, &sr)
+	}); err != nil {
+		return nil, err
 	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
+	return decodeSamples(sr.Samples, compiled)
+}
+
+// ready rejects a call that cannot reach a service.
+func (c *Client) ready(compiled *qubo.Compiled) error {
+	if compiled == nil {
+		return errors.New("remote: nil model")
 	}
-	maxBackoff := c.RetryMaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = DefaultRetryMaxBackoff
+	if c.BaseURL == "" {
+		return errors.New("remote: client has no BaseURL")
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		ss, err := c.doSample(ctx, reqBody, compiled)
-		if err == nil {
-			return ss, nil
-		}
-		lastErr = err
-		if attempt >= maxRetries || !transientErr(err) || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		c.retries.Add(1)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > 0 {
-			// Honor the service's drain estimate exactly, as the job
-			// path does: sub-second hints included.
-			if err := sleepFor(ctx, se.RetryAfter); err != nil {
-				return nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
-			}
-			continue
-		}
-		if err := sleepBackoff(ctx, backoff, maxBackoff, attempt); err != nil {
-			return nil, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
-		}
-	}
+	return nil
 }
 
 // modelFromCompiled reconstructs the serializable model from the
-// compiled view (also used by the job client to fingerprint and upload
-// models for content-addressed submission).
+// compiled view, for the wire text and the content fingerprint.
 func modelFromCompiled(compiled *qubo.Compiled) *qubo.Model {
 	model := qubo.New(compiled.N)
 	model.AddOffset(compiled.Offset)
@@ -611,69 +592,130 @@ func modelFromCompiled(compiled *qubo.Compiled) *qubo.Model {
 	return model
 }
 
-// sampleRequest assembles the wire request for one job; zero job fields
-// fall back to the client's configured knobs.
-func (c *Client) sampleRequest(compiled *qubo.Compiled, job Job) (SampleRequest, error) {
-	var quboText bytes.Buffer
-	if _, err := modelFromCompiled(compiled).WriteTo(&quboText); err != nil {
-		return SampleRequest{}, fmt.Errorf("remote: serializing QUBO: %w", err)
+// wireText renders a model in the qubo.WriteTo text the service reads.
+func wireText(model *qubo.Model) (string, error) {
+	var text strings.Builder
+	if _, err := model.WriteTo(&text); err != nil {
+		return "", fmt.Errorf("remote: serializing QUBO: %w", err)
 	}
-	reads, sweeps, seed := job.Reads, job.Sweeps, job.Seed
-	if reads == 0 {
-		reads = c.Reads
-	}
-	if sweeps == 0 {
-		sweeps = c.Sweeps
-	}
-	if seed == 0 {
-		seed = c.Seed
-	}
-	return SampleRequest{QUBO: quboText.String(), Reads: reads, Sweeps: sweeps, Seed: seed}, nil
+	return text.String(), nil
 }
 
-// encodeRequest marshals the wire request for the sync sampling path.
-func (c *Client) encodeRequest(compiled *qubo.Compiled, job Job) ([]byte, error) {
-	req, err := c.sampleRequest(compiled, job)
-	if err != nil {
-		return nil, err
+// request returns a job's wire knobs, naming no model yet; zero job
+// fields fall back to the client's configured knobs.
+func (c *Client) request(job Job) SampleRequest {
+	req := SampleRequest{Reads: job.Reads, Sweeps: job.Sweeps, Seed: job.Seed}
+	if req.Reads == 0 {
+		req.Reads = c.Reads
 	}
-	return json.Marshal(req)
+	if req.Sweeps == 0 {
+		req.Sweeps = c.Sweeps
+	}
+	if req.Seed == 0 {
+		req.Seed = c.Seed
+	}
+	return req
 }
 
-// doSample performs one request attempt.
-func (c *Client) doSample(ctx context.Context, reqBody []byte, compiled *qubo.Compiled) (*anneal.SampleSet, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/sample", bytes.NewReader(reqBody))
-	if err != nil {
-		return nil, fmt.Errorf("remote: building request: %w", err)
+// do is the client's one exchange with the service: method on path,
+// with body sent as contentType when non-nil. The reply is read up to
+// the client's size cap; a non-2xx reply comes back as *StatusError
+// carrying the error envelope's message and any Retry-After hint, and
+// a 2xx reply is decoded into out when out is non-nil. Requests to the
+// job API carry the client's X-Client-ID for the fairness scheduler.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.BaseURL, "/")+path, rd)
+	if err != nil {
+		return fmt.Errorf("remote: building request: %w", err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if c.ClientID != "" && strings.HasPrefix(path, "/v1/jobs") {
+		req.Header.Set("X-Client-ID", c.ClientID)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("remote: submitting job: %w", err)
+		return fmt.Errorf("remote: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	limit := c.maxResponseBytes()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
-		return nil, fmt.Errorf("remote: reading response: %w", err)
+		return fmt.Errorf("remote: reading response: %w", err)
 	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrResponseTooLarge, limit)
+	if int64(len(raw)) > limit {
+		return fmt.Errorf("%w (%d bytes)", ErrResponseTooLarge, limit)
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		se := &StatusError{Code: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header)}
 		var er errorResponse
-		if json.Unmarshal(body, &er) == nil {
+		if json.Unmarshal(raw, &er) == nil {
 			se.Message = er.Error
 		}
-		return nil, se
+		return se
 	}
-	var sr SampleResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return nil, fmt.Errorf("remote: malformed response: %w", err)
+	if out == nil {
+		return nil
 	}
-	return decodeSamples(sr.Samples, compiled)
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("remote: malformed response: %w", err)
+	}
+	return nil
+}
+
+// retry runs op until it succeeds, fails permanently, or the retry
+// budget or ctx runs out. A transient failure (transientErr) is retried
+// after the service's Retry-After hint when it gave one — honored
+// exactly, sub-second hints included: the service's drain estimate
+// beats blind backoff in both directions — and otherwise after the
+// attempt's jittered exponential backoff. Every retry counts in
+// Retries; a context that ends during a wait is reported together with
+// the last attempt's error.
+func (c *Client) retry(ctx context.Context, op func() error) error {
+	maxRetries := c.MaxRetries
+	if maxRetries == 0 {
+		maxRetries = DefaultMaxRetries
+	} else if maxRetries < 0 {
+		maxRetries = 0
+	}
+	backoff := c.RetryBackoff
+	if backoff <= 0 {
+		backoff = DefaultRetryBackoff
+	}
+	maxBackoff := c.RetryMaxBackoff
+	if maxBackoff <= 0 {
+		maxBackoff = DefaultRetryMaxBackoff
+	}
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || attempt >= maxRetries || !transientErr(err) || ctx.Err() != nil {
+			return err
+		}
+		c.retries.Add(1)
+		wait := backoffDelay(backoff, maxBackoff, attempt)
+		var se *StatusError
+		if errors.As(err, &se) && se.RetryAfter > 0 {
+			wait = se.RetryAfter
+		}
+		if serr := sleepFor(ctx, wait); serr != nil {
+			return fmt.Errorf("%w (last attempt: %v)", serr, err)
+		}
+	}
+}
+
+// backoffDelay is the attempt's exponential delay from base, capped at
+// max, with ±50% jitter to decorrelate retry storms across clients.
+func backoffDelay(base, max time.Duration, attempt int) time.Duration {
+	d := base << uint(attempt)
+	if d > max || d <= 0 {
+		d = max
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 // decodeSamples turns wire samples back into a local SampleSet, used by
@@ -701,25 +743,6 @@ func decodeSamples(samples []WireSample, compiled *qubo.Compiled) (*anneal.Sampl
 	return anneal.Aggregate(raw), nil
 }
 
-// sleepBackoff sleeps for the attempt's jittered exponential delay, or
-// returns early with the context's error.
-func sleepBackoff(ctx context.Context, base, max time.Duration, attempt int) error {
-	d := base << uint(attempt)
-	if d > max || d <= 0 {
-		d = max
-	}
-	// ±50% jitter decorrelates retry storms across clients.
-	d = d/2 + time.Duration(rand.Int63n(int64(d)))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // Health checks the service.
 func (c *Client) Health() (*HealthResponse, error) {
 	return c.HealthContext(context.Background())
@@ -727,21 +750,8 @@ func (c *Client) Health() (*HealthResponse, error) {
 
 // HealthContext checks the service under ctx.
 func (c *Client) HealthContext(ctx context.Context) (*HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/health", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: resp.StatusCode, Message: "health check failed"}
-	}
 	var hr HealthResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hr); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/health", "", nil, &hr); err != nil {
 		return nil, err
 	}
 	return &hr, nil

@@ -287,8 +287,8 @@ func (s *Solver) warmSeeds(compiled *qubo.Compiled) [][]qubo.Bit {
 // ownStates returns the InitialStates of a kernel sampler (simulated
 // annealing, parallel tempering, tabu; nil, the default annealer, is
 // one without states); kernel reports whether sampler is one. Remote
-// clients, custom implementations, and the exact and reverse annealers
-// take no states from the solver.
+// clients, custom implementations and the exact solver take no states
+// from the solver.
 func ownStates(sampler Sampler) (states [][]qubo.Bit, kernel bool) {
 	switch sa := sampler.(type) {
 	case nil:
