@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qsmt/internal/anneal"
+	"qsmt/internal/obs"
 	"qsmt/internal/qubo"
 )
 
@@ -160,5 +161,86 @@ func TestCachePresolveIsolationThroughSolveBatch(t *testing.T) {
 	}
 	if solveHits(own) == 0 {
 		t.Error("SolveBatch compiled no shared shard; the audit needs the cache in use")
+	}
+}
+
+// A SolveBatch stores its exact entries' enumerated sets in the cache,
+// and only the shard tier plan reads them back. The model is a
+// frustrated triangle that presolve cannot reduce and that carries no
+// offset, so the batch's one exact entry, the custom-sampler Solve's
+// whole model and Enumerate's raw model all key under one fingerprint.
+// Both must still sample with their own sampler: their results and
+// their reads match their cache-free references (a stored set would
+// bring its six enumerated states instead of the annealer's 32 reads).
+func TestStoredExactSetsServeOnlyTheTierPlan(t *testing.T) {
+	c := &stubConstraint{
+		name: "triangle",
+		vars: 3,
+		model: func() (*qubo.Model, error) {
+			m := qubo.New(3)
+			for i := 0; i < 3; i++ {
+				m.AddLinear(i, -1)
+			}
+			m.AddQuadratic(0, 1, 1)
+			m.AddQuadratic(1, 2, 1)
+			m.AddQuadratic(0, 2, 1)
+			return m, nil
+		},
+		decode: func(x []qubo.Bit) (Witness, error) { return Witness{Kind: WitnessString, Str: bitKey(x)}, nil },
+	}
+	ctx := context.Background()
+	solver := func(cache *qubo.Cache) (*Solver, *SolverMetrics) {
+		m := NewSolverMetrics(obs.NewRegistry())
+		s := auditSolver(cache)
+		s.opts.Metrics = m
+		return s, m
+	}
+	ref, _ := solver(nil)
+	refRes, err := ref.Solve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEnum, refMetrics := solver(nil)
+	refWs, err := refEnum.Enumerate(c, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first batch stores the exact set, the second reads it back.
+	cache := qubo.NewCache(64)
+	warm, _ := solver(cache)
+	var st SolveStats
+	for range 2 {
+		br, err := warm.SolveBatch(ctx, []Constraint{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = br.Items[0].Result.Stats; st.Shards != 1 || st.ExactShards != 1 {
+			t.Fatalf("batch planned %d shards, %d exact; the audit needs one exact entry", st.Shards, st.ExactShards)
+		}
+	}
+	if st.Reads != 0 {
+		t.Fatalf("the second batch took %d reads; the audit needs a stored exact set", st.Reads)
+	}
+	s, _ := solver(cache)
+	res, err := s.Solve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CacheHits == 0 {
+		t.Fatal("Solve took no cache hit; the audit needs the batch's entry shared")
+	}
+	if res.Witness != refRes.Witness || res.Energy != refRes.Energy || res.Stats.Reads != refRes.Stats.Reads {
+		t.Errorf("stored exact set changed the custom-sampler Solve: got (%+v, %g, %d reads), want (%+v, %g, %d reads)",
+			res.Witness, res.Energy, res.Stats.Reads, refRes.Witness, refRes.Energy, refRes.Stats.Reads)
+	}
+	enum, m := solver(cache)
+	ws, err := enum.Enumerate(c, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ws) != fmt.Sprint(refWs) || m.Reads.Value() != refMetrics.Reads.Value() {
+		t.Errorf("stored exact set changed Enumerate: got %v in %v reads, want %v in %v reads",
+			ws, m.Reads.Value(), refWs, refMetrics.Reads.Value())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Fingerprint is a canonical identity of a Model's coefficients: two
@@ -128,29 +129,55 @@ func FingerprintOf(m *Model) Fingerprint {
 // solver fronts Model.Compile with one so repeated constraints — the
 // dominant shape of pipeline stages and batch workloads, where the same
 // few models recur thousands of times — skip compilation entirely and
-// share one immutable *Compiled. All methods are safe for concurrent
+// share one immutable *Compiled. Each entry also carries an opaque slot
+// (see CacheEntry) for one value derived from its model, which the
+// solver fills with an exact component's enumerated sample set; the
+// slot is evicted with its entry. All methods are safe for concurrent
 // use; a nil *Cache compiles straight through.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used; values are *cacheEntry
+	ll       *list.List // front = most recently used; values are *CacheEntry
 	items    map[Fingerprint]*list.Element
 	inflight map[Fingerprint]*compileCall
 
 	hits, misses, evictions, coalesced uint64
 }
 
-type cacheEntry struct {
-	fp Fingerprint
-	c  *Compiled
+// CacheEntry is one cached compilation: the shared compiled model and
+// a slot that holds one value derived from that model alone, filled at
+// most once. What the slot holds is the filler's business; the cache
+// only keeps it, and drops it when the entry is evicted.
+type CacheEntry struct {
+	fp   Fingerprint
+	c    *Compiled
+	slot atomic.Pointer[any]
+}
+
+// Compiled returns the entry's compiled model.
+func (e *CacheEntry) Compiled() *Compiled { return e.c }
+
+// Slot returns the value the slot was filled with, nil while it is
+// empty.
+func (e *CacheEntry) Slot() any {
+	if v := e.slot.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// Fill puts v in an empty slot and reports whether it did; a slot that
+// is already filled keeps its value.
+func (e *CacheEntry) Fill(v any) bool {
+	return e.slot.CompareAndSwap(nil, &v)
 }
 
 // compileCall is one in-flight compilation that concurrent misses on
 // the same fingerprint coalesce onto: the owner compiles, publishes the
-// result, and closes done; followers block on done and share it.
+// entry, and closes done; followers block on done and share it.
 type compileCall struct {
 	done chan struct{}
-	c    *Compiled
+	e    *CacheEntry
 }
 
 // NewCache returns a cache holding at most capacity compiled models;
@@ -168,8 +195,11 @@ func NewCache(capacity int) *Cache {
 }
 
 // DefaultCacheCapacity is the entry bound NewCache applies when the
-// caller does not choose one. Compiled models are a few KB for the
-// paper's constraint sizes, so 256 entries is ~1 MB worst case.
+// caller does not choose one. For the paper's constraint sizes an entry
+// holds about 1 KB of compiled model, and about 2.2 KB once its slot
+// keeps an exact shard's enumerated set (at most 16 states), so 256
+// entries come to about 0.6 MB (measured over a mix of AvoidChars,
+// Regex, Periodic and PrefixOf shards of up to 20 variables).
 const DefaultCacheCapacity = 256
 
 // Compile returns the compiled form of m, reusing the cached result when
@@ -188,14 +218,26 @@ func (c *Cache) Compile(m *Model) (*Compiled, bool) {
 	if c == nil {
 		return m.Compile(), false
 	}
+	e, hit := c.CompileEntry(m)
+	return e.c, hit
+}
+
+// CompileEntry is Compile returning the whole cache entry, so the caller
+// can read or fill its slot. Lookups are coalesced and counted exactly
+// as in Compile. A nil cache returns a fresh entry that no other caller
+// shares.
+func (c *Cache) CompileEntry(m *Model) (*CacheEntry, bool) {
+	if c == nil {
+		return &CacheEntry{c: m.Compile()}, false
+	}
 	fp := FingerprintOf(m)
 	c.mu.Lock()
 	if el, ok := c.items[fp]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		compiled := el.Value.(*cacheEntry).c
+		e := el.Value.(*CacheEntry)
 		c.mu.Unlock()
-		return compiled, true
+		return e, true
 	}
 	if call, ok := c.inflight[fp]; ok {
 		// Someone else is compiling this exact model right now: wait
@@ -204,32 +246,32 @@ func (c *Cache) Compile(m *Model) (*Compiled, bool) {
 		c.hits++
 		c.mu.Unlock()
 		<-call.done
-		return call.c, true
+		return call.e, true
 	}
 	call := &compileCall{done: make(chan struct{})}
 	c.inflight[fp] = call
 	c.mu.Unlock()
 
-	compiled := m.Compile()
+	e := &CacheEntry{fp: fp, c: m.Compile()}
 
 	c.mu.Lock()
-	call.c = compiled
+	call.e = e
 	delete(c.inflight, fp)
 	c.misses++
-	c.insertLocked(fp, compiled)
+	c.insertLocked(e)
 	c.mu.Unlock()
 	close(call.done)
-	return compiled, false
+	return e, false
 }
 
 // insertLocked adds an entry and enforces the capacity bound; callers
 // hold c.mu.
-func (c *Cache) insertLocked(fp Fingerprint, compiled *Compiled) {
-	c.items[fp] = c.ll.PushFront(&cacheEntry{fp: fp, c: compiled})
+func (c *Cache) insertLocked(e *CacheEntry) {
+	c.items[e.fp] = c.ll.PushFront(e)
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).fp)
+		delete(c.items, oldest.Value.(*CacheEntry).fp)
 		c.evictions++
 	}
 }
@@ -250,7 +292,7 @@ func (c *Cache) Lookup(fp Fingerprint) (*Compiled, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).c, true
+	return el.Value.(*CacheEntry).c, true
 }
 
 // Insert seeds the cache with an externally produced compilation under
@@ -267,7 +309,7 @@ func (c *Cache) Insert(fp Fingerprint, compiled *Compiled) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.insertLocked(fp, compiled)
+	c.insertLocked(&CacheEntry{fp: fp, c: compiled})
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

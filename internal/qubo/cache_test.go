@@ -322,3 +322,75 @@ func TestCacheSingleflightCoalescing(t *testing.T) {
 		t.Fatalf("settled-entry hit counted as coalesced (%d -> %d)", before, got)
 	}
 }
+
+// An entry's slot is filled at most once, is shared by every lookup of
+// the entry, and goes with the entry when it is evicted: a recompiled
+// model starts with an empty slot.
+func TestCacheEntrySlot(t *testing.T) {
+	model := func(w float64) *Model {
+		m := New(2)
+		m.AddQuadratic(0, 1, w)
+		return m
+	}
+	c := NewCache(1)
+	e, hit := c.CompileEntry(model(1))
+	if hit || e.Slot() != nil {
+		t.Fatalf("fresh entry: hit %v, slot %v", hit, e.Slot())
+	}
+	if !e.Fill("first") || e.Fill("second") {
+		t.Fatal("Fill must succeed once and only once")
+	}
+	again, hit := c.CompileEntry(model(1))
+	if !hit || again != e || again.Slot() != "first" {
+		t.Fatalf("hit: entry shared %v, slot %v", again == e, again.Slot())
+	}
+	if compiled, _ := c.Compile(model(1)); compiled != e.Compiled() {
+		t.Error("Compile and CompileEntry serve different compiled models")
+	}
+
+	c.Compile(model(2)) // evicts the first entry, slot and all
+	fresh, hit := c.CompileEntry(model(1))
+	if hit || fresh == e || fresh.Slot() != nil {
+		t.Errorf("after eviction: hit %v, same entry %v, slot %v", hit, fresh == e, fresh.Slot())
+	}
+
+	var nilCache *Cache
+	if e, hit := nilCache.CompileEntry(model(1)); hit || e.Compiled() == nil || e.Slot() != nil {
+		t.Error("a nil cache must return a fresh, empty entry")
+	}
+}
+
+// Concurrent fills of one slot leave exactly one value, which every
+// reader sees.
+func TestCacheEntrySlotConcurrentFill(t *testing.T) {
+	c := NewCache(4)
+	m := New(3)
+	m.AddQuadratic(0, 2, -1)
+	var wg sync.WaitGroup
+	filled := make([]bool, 8)
+	entries := make([]*CacheEntry, 8)
+	for g := range filled {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			entries[g], _ = c.CompileEntry(m)
+			filled[g] = entries[g].Fill(g)
+		}()
+	}
+	wg.Wait()
+	winners := 0
+	for g, ok := range filled {
+		if entries[g] != entries[0] {
+			t.Fatal("concurrent lookups of one model got different entries")
+		}
+		if ok {
+			winners++
+			if entries[0].Slot() != g {
+				t.Errorf("slot holds %v, but fill %d won", entries[0].Slot(), g)
+			}
+		}
+	}
+	if winners != 1 {
+		t.Errorf("%d fills won, want exactly 1", winners)
+	}
+}

@@ -21,7 +21,8 @@ import (
 //     closed-form, exact enumeration, or the configured sampler;
 //   - sampling step: one sample set per plan entry per attempt
 //     (sampleShards, or the incremental session's memo-backed step); an
-//     exact entry is enumerated once per search and its set reused;
+//     exact entry is enumerated once per search and its set reused, and
+//     with a compile cache once per cache entry;
 //   - candidates: shardCandidates merges the entries' rows into
 //     full-space assignments, lifted through the presolve reduction;
 //   - acceptor: first verified witness (Solve, SolveBatch, incremental),
@@ -54,8 +55,12 @@ type shardPlan struct {
 	tier  tier
 	warm  bool
 	// reused marks an exact entry's set kept from an earlier attempt of
-	// the search: no enumeration ran, so its reads are not counted again.
+	// the search, or served from its compile-cache entry: no enumeration
+	// ran, so its reads are not counted again.
 	reused bool
+	// stored is the compile-cache entry of an exact entry whose set is
+	// not kept there yet; the enumerated set is written back to it.
+	stored *qubo.CacheEntry
 
 	set *anneal.SampleSet // this attempt's samples, entry-local
 	err error
@@ -118,7 +123,9 @@ func (s *Solver) wholePlan(work *qubo.Model, red *qubo.Reduction, compiled *qubo
 
 // planShards places the component shards of a working model on their
 // tiers, compiling every coupled shard and deriving the initial states
-// of the sampled ones.
+// of the sampled ones. An exact shard whose compile-cache entry keeps
+// its enumerated set starts with that set; one whose entry does not
+// yet is marked to fill it.
 func (s *Solver) planShards(shards []qubo.Shard, red *qubo.Reduction, fullN int, st *SolveStats) []shardPlan {
 	plans := make([]shardPlan, len(shards))
 	for i := range shards {
@@ -129,10 +136,16 @@ func (s *Solver) planShards(shards []qubo.Shard, red *qubo.Reduction, fullN int,
 			continue
 		}
 		p := &plans[i]
-		p.compiled = s.compileModel(sh.Model, st)
+		var stored *qubo.CacheEntry
+		p.compiled, stored = s.compileEntry(sh.Model, st)
 		p.tier = s.tierOf(p.compiled)
 		if p.tier == tierExact {
 			st.ExactShards++
+			if stored != nil {
+				if p.set = s.storedExactSet(stored); p.set == nil {
+					p.stored = stored
+				}
+			}
 			continue
 		}
 		p.seeds, p.warm = s.entryStates(p.compiled, fullN, func(x []qubo.Bit) []qubo.Bit {
@@ -152,9 +165,30 @@ func (s *Solver) tierOf(compiled *qubo.Compiled) tier {
 	return tierSampled
 }
 
+// exactSet is an exact entry's enumerated set as kept in the slot of
+// its compiled model's cache entry. Enumeration is a function of the
+// model and MaxStates alone, so the set is served to every later solve
+// that enumerates at the same MaxStates.
+type exactSet struct {
+	maxStates int
+	set       *anneal.SampleSet
+}
+
+// storedExactSet returns the set kept in e's slot for this solver's
+// MaxStates (CandidatesPerAttempt), nil when there is none. The set is
+// shared: every reader only reads its rows.
+func (s *Solver) storedExactSet(e *qubo.CacheEntry) *anneal.SampleSet {
+	_, limit, _ := s.opts.searchLimits()
+	if v, ok := e.Slot().(*exactSet); ok && v.maxStates == limit {
+		return v.set
+	}
+	return nil
+}
+
 // sampleEntry solves one entry for one attempt through its tier, writing
-// the entry's set and err. It touches no shared state, so entries may
-// be sampled concurrently. A sampled shard's rows must match its width
+// the entry's set and err. The only shared state it touches is the slot
+// of an exact entry's cache entry, which it fills atomically, so entries
+// may be sampled concurrently. A sampled shard's rows must match its width
 // (Scatter places them by position); a whole-model entry's rows go to
 // Decode, which rejects an off-width row itself.
 func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal int) {
@@ -166,6 +200,9 @@ func (s *Solver) sampleEntry(ctx context.Context, p *shardPlan, attempt, ordinal
 		// DefaultExactShardVars is the crossover measured single-worker.
 		_, limit, _ := s.opts.searchLimits()
 		p.set, p.err = s.sample(ctx, &anneal.ExactSolver{MaxStates: limit, Workers: 1}, p.compiled)
+		if p.stored != nil && p.err == nil {
+			p.stored.Fill(&exactSet{maxStates: limit, set: p.set})
+		}
 	default:
 		p.set, p.err = s.sample(ctx, withStates(s.samplerFor(attempt), p.seeds), p.compiled)
 		if p.err == nil && p.shard != nil {
@@ -193,8 +230,10 @@ func (st *SolveStats) observeEntry(p *shardPlan) {
 // exact entries and the first sampled one run inline, further sampled
 // entries concurrently, one goroutine each. An exact entry's set is
 // deterministic, so it is enumerated on the first attempt only and
-// reused on every later one (the incremental step, which does not come
-// through here, reuses its exact components' memoized sets alike).
+// reused on every later one; with a compile cache, an entry whose set
+// its cache entry already keeps (see planShards) is not enumerated at
+// all. The incremental step, which does not come through here, reuses
+// its exact components' memoized sets alike.
 // Every sampling call acquires a batch-gate slot of its own (when one
 // is installed), so the fan-out of many batched constraints still
 // respects the global worker bound. The returned error names the

@@ -26,6 +26,20 @@ func (emptyTriangleSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) 
 	return &anneal.SampleSet{Samples: []anneal.Sample{{X: make([]qubo.Bit, c.N), Occurrences: 5}}}, nil
 }
 
+// frustratedCycles builds a frustrated triangle and a frustrated
+// 4-cycle over seven variables, two components that presolve cannot
+// reduce.
+func frustratedCycles() (*qubo.Model, error) {
+	m := qubo.New(7)
+	for i := 0; i < 7; i++ {
+		m.AddLinear(i, -1)
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {5, 6}, {3, 6}} {
+		m.AddQuadratic(e[0], e[1], 1)
+	}
+	return m, nil
+}
+
 // An empty set from one shard must not hide the reads the other shards
 // spent: the attempt has no candidate, but its reads and kernel
 // counters still count. The old aggregation returned at the first empty
@@ -36,18 +50,9 @@ func (emptyTriangleSampler) Sample(c *qubo.Compiled) (*anneal.SampleSet, error) 
 // the sampler.
 func TestSearchCountsReadsPastAnEmptyShard(t *testing.T) {
 	c := &stubConstraint{
-		name: "two-components",
-		vars: 7,
-		model: func() (*qubo.Model, error) {
-			m := qubo.New(7)
-			for i := 0; i < 7; i++ {
-				m.AddLinear(i, -1)
-			}
-			for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {5, 6}, {3, 6}} {
-				m.AddQuadratic(e[0], e[1], 1)
-			}
-			return m, nil
-		},
+		name:   "two-components",
+		vars:   7,
+		model:  frustratedCycles,
 		decode: func([]qubo.Bit) (Witness, error) { return Witness{Kind: WitnessString}, nil },
 	}
 	m := NewSolverMetrics(obs.NewRegistry())
@@ -91,11 +96,12 @@ func TestOptimizeWholeModelCountsWarmHits(t *testing.T) {
 	}
 }
 
-// The two hot paths of the benchmark stay allocation-lean: a whole-model
+// The hot paths of the benchmark stay allocation-lean: a whole-model
 // Solve allocates no more than the per-entry-point loop the search loop
-// replaced, and a memoized incremental re-solve — one partition pass,
-// no component model — no more than its count once it stopped building
-// component models. The bounds are counts on go1.24; other toolchains
+// replaced, a memoized incremental re-solve — one partition pass, no
+// component model — no more than its count once it stopped building
+// component models, and a batch member on a warm compile cache no more
+// than its count once exact sets were kept in the cache. The bounds are counts on go1.24; other toolchains
 // allocate differently, so the guard runs on go1.24 only.
 func TestSearchAllocsGuard(t *testing.T) {
 	if !strings.HasPrefix(runtime.Version(), "go1.24") {
@@ -114,6 +120,22 @@ func TestSearchAllocsGuard(t *testing.T) {
 	eq := Equality("hello")
 	if got := testing.AllocsPerRun(20, func() { s.Solve(eq) }); got > 29 {
 		t.Errorf("Solve(Equality): %v allocs, want ≤ 29", got)
+	}
+	// A batch member on a warm cache — the batch's gated solver copy —
+	// solving a model whose two exact entries are both kept in the
+	// cache; re-enumerating them costs 34 allocations more (88 in all).
+	batched := &Solver{opts: NewSolver(&Options{CompileCache: qubo.NewCache(8)}).opts, gate: make(chan struct{}, 1)}
+	cycles := &stubConstraint{
+		name:   "triangle-and-4-cycle",
+		vars:   7,
+		model:  frustratedCycles,
+		decode: func([]qubo.Bit) (Witness, error) { return Witness{Kind: WitnessString}, nil },
+	}
+	if _, err := batched.SolveContext(ctx, cycles); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { batched.SolveContext(ctx, cycles) }); got > 54 {
+		t.Errorf("warm-cache batch member: %v allocs, want ≤ 54", got)
 	}
 }
 

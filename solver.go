@@ -64,7 +64,12 @@ type Options struct {
 	// CompileCache, when non-nil, fronts every Model.Compile with an LRU
 	// keyed by the model's canonical fingerprint, so repeated
 	// constraints (pipeline stages, recurring batch members, shards of
-	// recurring conjunctions) skip compilation. See qubo.NewCache.
+	// recurring conjunctions) skip compilation. The shard tier plan
+	// (Solve, SolveBatch, Optimize) also keeps each exact-tier shard's
+	// enumerated set in its model's entry, so a recurring exact shard
+	// is enumerated once per entry rather than once per solve; a set is
+	// evicted with its entry. Solvers sharing a cache get identical
+	// results to cache-free ones. See qubo.NewCache.
 	CompileCache *qubo.Cache
 	// ExactShardVars is the shard size (in binary variables) at or below
 	// which a sharded solve enumerates the shard exhaustively instead of
@@ -133,14 +138,21 @@ const DefaultExactShardVars = 20
 // compileModel compiles through the configured cache (straight through
 // when none is set) and tracks cache hits in the solve stats.
 func (s *Solver) compileModel(m *qubo.Model, st *SolveStats) *qubo.Compiled {
+	compiled, _ := s.compileEntry(m, st)
+	return compiled
+}
+
+// compileEntry is compileModel returning the model's cache entry too,
+// nil when no cache is set.
+func (s *Solver) compileEntry(m *qubo.Model, st *SolveStats) (*qubo.Compiled, *qubo.CacheEntry) {
 	if s.opts.CompileCache == nil {
-		return m.Compile()
+		return m.Compile(), nil
 	}
-	compiled, hit := s.opts.CompileCache.Compile(m)
+	e, hit := s.opts.CompileCache.CompileEntry(m)
 	if hit {
 		st.CacheHits++
 	}
-	return compiled
+	return e.Compiled(), e
 }
 
 // syncCacheMetrics mirrors the compile-cache counters into the registry
